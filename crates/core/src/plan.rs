@@ -157,20 +157,28 @@ impl ShareAttribution {
     }
 }
 
-/// Shared-count accumulator: merges the [`IoPlan`]s of a batch window's
-/// queries into one deduplicated per-disk page schedule, attributing to
-/// each query how many pages it added versus shared.
+/// Shared-count accumulator: deduplicates a batch window's queries into
+/// per-disk distinct-page counts, attributing to each query how many pages
+/// it added versus shared.
 ///
-/// The three arenas (incoming plan, merged schedule, swap buffer) are
-/// reused across windows, so a warmed accumulator absorbs queries with
-/// zero heap allocation — the same contract as [`PlanCounts`].
-///
-/// [`IoPlan`]: decluster_grid::IoPlan
+/// Every bucket maps to exactly one (disk, page) placement, so
+/// deduplicating pages is deduplicating linear bucket ids. The window
+/// marks each absorbed id in a bitset, counts a page for its disk the
+/// first time the id is marked, and remembers which bitset words it
+/// dirtied so [`SharedScan::begin`] clears only those. The bitset,
+/// touched-word list and count vector are reused across windows, so a
+/// warmed accumulator absorbs queries with zero heap allocation — the
+/// same contract as [`PlanCounts`].
 #[derive(Clone, Debug, Default)]
 pub struct SharedScan {
-    merged: decluster_grid::IoPlan,
-    incoming: decluster_grid::IoPlan,
-    swap: decluster_grid::IoPlan,
+    /// One bit per linear bucket id, set once the window schedules it.
+    marks: Vec<u64>,
+    /// Indices of the `marks` words this window turned non-zero.
+    touched: Vec<usize>,
+    /// Distinct pages scheduled per disk this window.
+    counts: Vec<u64>,
+    /// Sum of `counts`.
+    total: u64,
 }
 
 impl SharedScan {
@@ -179,31 +187,70 @@ impl SharedScan {
         Self::default()
     }
 
-    /// Starts a new window over `num_disks` disks, discarding any merged
-    /// schedule from the previous window but keeping buffer capacity.
+    /// Starts a new window over `num_disks` disks, discarding the previous
+    /// window's marks and counts but keeping buffer capacity.
     pub fn begin(&mut self, num_disks: usize) {
-        self.merged.reset(num_disks);
+        for &w in &self.touched {
+            self.marks[w] = 0;
+        }
+        self.touched.clear();
+        self.counts.clear();
+        self.counts.resize(num_disks, 0);
+        self.total = 0;
     }
 
-    /// Merges `region`'s I/O plan under `dir` into the window's schedule
-    /// and reports the query's attribution.
+    /// Adds `region`'s pages under `dir` to the window's schedule and
+    /// reports the query's attribution.
     ///
     /// # Panics
     /// Panics if `dir`'s disk count differs from the `begin` width.
     pub fn absorb(&mut self, dir: &GridDirectory, region: &BucketRegion) -> ShareAttribution {
-        dir.io_plan_into(region, &mut self.incoming);
-        let before = self.merged.total_pages();
-        self.swap.merge_union(&self.merged, &self.incoming);
-        std::mem::swap(&mut self.swap, &mut self.merged);
+        assert_eq!(
+            self.counts.len(),
+            dir.num_disks() as usize,
+            "cannot absorb into a window over a different disk count"
+        );
+        let words = dir.space().num_buckets().div_ceil(64) as usize;
+        if self.marks.len() < words {
+            self.marks.resize(words, 0);
+        }
+        let SharedScan {
+            marks,
+            touched,
+            counts,
+            ..
+        } = self;
+        let mut fresh = 0u64;
+        dir.for_each_placement_run(region, |start, run| {
+            for (id, bp) in (start..).zip(run) {
+                let (w, bit) = ((id / 64) as usize, 1u64 << (id % 64));
+                let word = &mut marks[w];
+                if *word & bit == 0 {
+                    if *word == 0 {
+                        touched.push(w);
+                    }
+                    *word |= bit;
+                    counts[bp.disk.index()] += 1;
+                    fresh += 1;
+                }
+            }
+        });
+        self.total += fresh;
         ShareAttribution {
-            own_pages: self.incoming.total_pages() as u64,
-            fresh_pages: (self.merged.total_pages() - before) as u64,
+            own_pages: region.num_buckets(),
+            fresh_pages: fresh,
         }
     }
 
-    /// The window's merged, deduplicated per-disk schedule so far.
-    pub fn merged(&self) -> &decluster_grid::IoPlan {
-        &self.merged
+    /// Distinct pages disk `d` must fetch for the window so far (0 for a
+    /// disk out of range).
+    pub fn disk_count(&self, d: usize) -> u64 {
+        self.counts.get(d).copied().unwrap_or(0)
+    }
+
+    /// Distinct pages across all disks for the window so far.
+    pub fn total_pages(&self) -> u64 {
+        self.total
     }
 }
 
@@ -262,8 +309,8 @@ mod tests {
         // The [2,2]..[3,3] overlap (4 buckets) is already scheduled.
         assert_eq!(second.fresh_pages, 12);
         assert_eq!(second.saved_pages(), 4);
-        assert_eq!(scan.merged().total_pages(), 28);
-        // The merged schedule equals the per-disk set union of both plans.
+        assert_eq!(scan.total_pages(), 28);
+        // Per disk, the count is the size of the union of both plans.
         let (mut pa, mut pb) = (IoPlan::new(), IoPlan::new());
         dir.io_plan_into(&a, &mut pa);
         dir.io_plan_into(&b, &mut pb);
@@ -272,12 +319,58 @@ mod tests {
             expect.extend_from_slice(pb.disk_pages(d));
             expect.sort_unstable();
             expect.dedup();
-            assert_eq!(scan.merged().disk_pages(d), expect.as_slice());
+            assert_eq!(scan.disk_count(d), expect.len() as u64);
         }
+        assert_eq!(scan.disk_count(99), 0);
         // begin() starts the next window from scratch.
         scan.begin(4);
-        assert_eq!(scan.merged().total_pages(), 0);
+        assert_eq!(scan.total_pages(), 0);
+        assert!((0..4).all(|d| scan.disk_count(d) == 0));
         assert_eq!(scan.absorb(&dir, &a).fresh_pages, 16);
+    }
+
+    #[test]
+    #[should_panic(expected = "different disk count")]
+    fn shared_scan_rejects_width_mismatch() {
+        let dir = dm_directory(4, 4, 4);
+        let mut scan = SharedScan::new();
+        scan.begin(3);
+        scan.absorb(&dir, &BucketRegion::full(dir.space()));
+    }
+
+    /// One accumulator reused across directories of different sizes
+    /// (8x8, then 64x64, then 8x8 again) attributes every window exactly
+    /// as a fresh accumulator does: `begin` leaves no stale mark behind.
+    #[test]
+    fn shared_scan_reuse_across_directories_matches_fresh() {
+        let small = dm_directory(8, 8, 4);
+        let large = dm_directory(64, 64, 16);
+        let windows = |g: &GridSpace| -> Vec<Vec<BucketRegion>> {
+            let r =
+                |lo: [u32; 2], hi: [u32; 2]| BucketRegion::new(g, lo.into(), hi.into()).unwrap();
+            let top = g.dim(0) - 1;
+            vec![
+                vec![r([0, 0], [3, 3]), r([2, 2], [5, 5]), r([0, 0], [3, 3])],
+                vec![BucketRegion::full(g), r([1, 1], [1, 1])],
+                vec![r([top, 0], [top, top]), r([0, top], [top, top])],
+            ]
+        };
+        let mut reused = SharedScan::new();
+        for dir in [&small, &large, &small] {
+            let m = dir.num_disks() as usize;
+            for window in windows(dir.space()) {
+                let mut fresh = SharedScan::new();
+                reused.begin(m);
+                fresh.begin(m);
+                for region in &window {
+                    assert_eq!(reused.absorb(dir, region), fresh.absorb(dir, region));
+                }
+                assert_eq!(reused.total_pages(), fresh.total_pages());
+                for d in 0..m {
+                    assert_eq!(reused.disk_count(d), fresh.disk_count(d));
+                }
+            }
+        }
     }
 
     #[test]
@@ -361,12 +454,13 @@ mod proptests {
         }
 
         /// Shared-scan invariant: absorbing any window of regions yields,
-        /// per disk, exactly the sorted deduplicated union of the
-        /// individual plans' page groups, and the attribution totals
-        /// reconcile (fresh sums to the merged size, own − fresh to the
-        /// pages saved).
+        /// per disk, exactly the size of the union of the individual
+        /// plans' page groups; each absorb's `fresh_pages` is exactly how
+        /// much that union grew; and the attribution totals reconcile
+        /// (fresh sums to the merged size, own − fresh to the pages
+        /// saved).
         #[test]
-        fn merged_plan_is_the_deduplicated_union(
+        fn merged_counts_are_the_deduplicated_union_sizes(
             (g, map, r) in grid_method_region(),
             picks in proptest::collection::vec((0u64..u64::MAX, 0u64..u64::MAX), 1..5),
         ) {
@@ -388,31 +482,31 @@ mod proptests {
             }
             let mut scan = SharedScan::new();
             scan.begin(m);
+            let mut plan = IoPlan::new();
+            let mut union: Vec<std::collections::BTreeSet<u64>> =
+                vec![std::collections::BTreeSet::new(); m];
             let mut fresh_sum = 0u64;
             let mut saved_sum = 0u64;
+            let mut own_sum = 0u64;
             for region in &window {
                 let att = scan.absorb(&dir, region);
                 fresh_sum += att.fresh_pages;
                 saved_sum += att.saved_pages();
                 prop_assert_eq!(att.own_pages, region.num_buckets());
-            }
-            // Per-disk: merged group == sorted dedup union of the plans.
-            let mut plan = IoPlan::new();
-            let mut union: Vec<std::collections::BTreeSet<u64>> =
-                vec![std::collections::BTreeSet::new(); m];
-            let mut own_sum = 0u64;
-            for region in &window {
+                // The incremental union after this query.
+                let before: usize = union.iter().map(|s| s.len()).sum();
                 dir.io_plan_into(region, &mut plan);
                 own_sum += plan.total_pages() as u64;
                 for (d, set) in union.iter_mut().enumerate() {
                     set.extend(plan.disk_pages(d).iter().copied());
                 }
+                let after: usize = union.iter().map(|s| s.len()).sum();
+                prop_assert_eq!(att.fresh_pages, (after - before) as u64);
+                for (d, set) in union.iter().enumerate() {
+                    prop_assert_eq!(scan.disk_count(d), set.len() as u64);
+                }
             }
-            for (d, set) in union.iter().enumerate() {
-                let expect: Vec<u64> = set.iter().copied().collect();
-                prop_assert_eq!(scan.merged().disk_pages(d), expect.as_slice());
-            }
-            prop_assert_eq!(fresh_sum, scan.merged().total_pages() as u64);
+            prop_assert_eq!(fresh_sum, scan.total_pages());
             prop_assert_eq!(saved_sum, own_sum - fresh_sum);
         }
     }

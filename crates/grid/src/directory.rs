@@ -168,41 +168,62 @@ impl GridDirectory {
         self.per_disk.iter().map(|v| v.len() as u64).collect()
     }
 
+    /// Visits `region`'s placements as runs of consecutive linear bucket
+    /// ids: `f(start_id, placements)` where `placements[i]` belongs to
+    /// bucket `start_id + i`. Runs come in ascending id order (see
+    /// [`BucketRegion::for_each_run`]), so the buckets are visited in
+    /// row-major order without materializing any coordinate.
+    pub fn for_each_placement_run(
+        &self,
+        region: &BucketRegion,
+        mut f: impl FnMut(u64, &[BucketPage]),
+    ) {
+        region.for_each_run(&self.space, |start, len| {
+            f(start, &self.pages[start as usize..(start + len) as usize]);
+        });
+    }
+
     /// Fills `plan` with the pages `region` touches, grouped per disk in a
     /// single flat arena. Steady-state this allocates nothing: the arena's
     /// buffers are reused across calls.
     ///
-    /// Two passes over the region: one to size the per-disk groups, one to
-    /// scatter page numbers into place. Because region iteration visits
-    /// buckets in ascending linear order and [`GridDirectory::build`]
-    /// assigns pages in that same order, each disk's group comes out sorted
-    /// without a sort pass.
+    /// Two passes over the region's placement runs: one to size the
+    /// per-disk groups, one to scatter page numbers into place. Because
+    /// runs visit buckets in ascending linear order and
+    /// [`GridDirectory::build`] assigns pages in that same order, each
+    /// disk's group comes out sorted without a sort pass.
     pub fn io_plan_into(&self, region: &BucketRegion, plan: &mut IoPlan) {
         let m = self.per_disk.len();
-        plan.offsets.clear();
-        plan.offsets.resize(m + 1, 0);
-        plan.cursors.clear();
-        plan.cursors.resize(m, 0);
-        for bucket in region.iter() {
-            let id = self.space.linearize_unchecked(bucket.as_slice());
-            plan.cursors[self.pages[id as usize].disk.index()] += 1;
-        }
+        let IoPlan {
+            pages,
+            offsets,
+            cursors,
+        } = plan;
+        offsets.clear();
+        offsets.resize(m + 1, 0);
+        cursors.clear();
+        cursors.resize(m, 0);
+        self.for_each_placement_run(region, |_, run| {
+            for bp in run {
+                cursors[bp.disk.index()] += 1;
+            }
+        });
         let mut total = 0usize;
         for d in 0..m {
-            plan.offsets[d] = total;
-            total += plan.cursors[d];
-            plan.cursors[d] = plan.offsets[d];
+            offsets[d] = total;
+            total += cursors[d];
+            cursors[d] = offsets[d];
         }
-        plan.offsets[m] = total;
-        plan.pages.clear();
-        plan.pages.resize(total, 0);
-        for bucket in region.iter() {
-            let id = self.space.linearize_unchecked(bucket.as_slice());
-            let bp = self.pages[id as usize];
-            let cursor = &mut plan.cursors[bp.disk.index()];
-            plan.pages[*cursor] = bp.page;
-            *cursor += 1;
-        }
+        offsets[m] = total;
+        pages.clear();
+        pages.resize(total, 0);
+        self.for_each_placement_run(region, |_, run| {
+            for bp in run {
+                let cursor = &mut cursors[bp.disk.index()];
+                pages[*cursor] = bp.page;
+                *cursor += 1;
+            }
+        });
         debug_assert!((0..m).all(|d| plan.disk_pages(d).windows(2).all(|w| w[0] < w[1])));
     }
 
@@ -260,55 +281,6 @@ impl IoPlan {
     /// Iterator over per-disk page groups, disk 0 first.
     pub fn iter(&self) -> impl Iterator<Item = &[u64]> + '_ {
         (0..self.num_disks()).map(move |d| self.disk_pages(d))
-    }
-
-    /// Resets the plan to `num_disks` empty groups, keeping the buffers'
-    /// capacity so a warmed plan stays allocation-free.
-    pub fn reset(&mut self, num_disks: usize) {
-        self.pages.clear();
-        self.offsets.clear();
-        self.offsets.resize(num_disks + 1, 0);
-        self.cursors.clear();
-    }
-
-    /// Fills `self` with the order-preserving deduplicated union of `a` and
-    /// `b`: per disk, the sorted set union of both page groups.
-    ///
-    /// Both inputs must cover the same number of disks (a plan freshly
-    /// [`reset`](IoPlan::reset) to that width counts). Relies on the
-    /// invariant that every group is strictly ascending — which
-    /// [`GridDirectory::io_plan_into`] guarantees and this union preserves —
-    /// so a two-pointer merge is an exact multiset dedup. Allocation-free
-    /// once `self` has grown to the working-set size.
-    ///
-    /// # Panics
-    /// Panics if `a` and `b` have different disk counts.
-    pub fn merge_union(&mut self, a: &IoPlan, b: &IoPlan) {
-        let m = a.num_disks();
-        assert_eq!(
-            m,
-            b.num_disks(),
-            "cannot merge plans over different disk counts"
-        );
-        self.pages.clear();
-        self.offsets.clear();
-        self.offsets.reserve(m + 1);
-        self.pages.reserve(a.total_pages() + b.total_pages());
-        self.cursors.clear();
-        self.offsets.push(0);
-        for d in 0..m {
-            let (xs, ys) = (a.disk_pages(d), b.disk_pages(d));
-            let (mut i, mut j) = (0, 0);
-            while i < xs.len() && j < ys.len() {
-                let (x, y) = (xs[i], ys[j]);
-                self.pages.push(x.min(y));
-                i += usize::from(x <= y);
-                j += usize::from(y <= x);
-            }
-            self.pages.extend_from_slice(&xs[i..]);
-            self.pages.extend_from_slice(&ys[j..]);
-            self.offsets.push(self.pages.len());
-        }
     }
 }
 
@@ -420,73 +392,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_yields_empty_groups() {
-        let dir = round_robin_dir();
-        let region = BucketRegion::new(
-            dir.space(),
-            BucketCoord::from([0, 0]),
-            BucketCoord::from([3, 3]),
-        )
-        .unwrap();
-        let mut plan = IoPlan::new();
-        dir.io_plan_into(&region, &mut plan);
-        assert!(plan.total_pages() > 0);
-        plan.reset(4);
-        assert_eq!(plan.num_disks(), 4);
-        assert_eq!(plan.total_pages(), 0);
-        assert!((0..4).all(|d| plan.disk_pages(d).is_empty()));
-    }
-
-    #[test]
-    fn merge_union_deduplicates_overlapping_plans() {
-        let dir = round_robin_dir();
-        let a_region = BucketRegion::new(
-            dir.space(),
-            BucketCoord::from([0, 0]),
-            BucketCoord::from([2, 2]),
-        )
-        .unwrap();
-        let b_region = BucketRegion::new(
-            dir.space(),
-            BucketCoord::from([1, 1]),
-            BucketCoord::from([3, 3]),
-        )
-        .unwrap();
-        let (mut a, mut b, mut merged) = (IoPlan::new(), IoPlan::new(), IoPlan::new());
-        dir.io_plan_into(&a_region, &mut a);
-        dir.io_plan_into(&b_region, &mut b);
-        merged.merge_union(&a, &b);
-        assert_eq!(merged.num_disks(), 4);
-        for d in 0..4 {
-            let mut expect: Vec<u64> = a.disk_pages(d).to_vec();
-            expect.extend_from_slice(b.disk_pages(d));
-            expect.sort_unstable();
-            expect.dedup();
-            assert_eq!(merged.disk_pages(d), expect.as_slice(), "disk {d}");
-        }
-        // The overlap ([1,1]..[2,2], 4 buckets) is read once, not twice.
-        assert_eq!(merged.total_pages(), a.total_pages() + b.total_pages() - 4);
-        // Union against an empty (reset) plan is the identity.
-        let mut empty = IoPlan::new();
-        empty.reset(4);
-        let mut same = IoPlan::new();
-        same.merge_union(&a, &empty);
-        for d in 0..4 {
-            assert_eq!(same.disk_pages(d), a.disk_pages(d));
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "different disk counts")]
-    fn merge_union_rejects_width_mismatch() {
-        let mut a = IoPlan::new();
-        a.reset(3);
-        let mut b = IoPlan::new();
-        b.reset(4);
-        IoPlan::new().merge_union(&a, &b);
-    }
-
-    #[test]
     fn disk_table_matches_lookups() {
         let dir = round_robin_dir();
         let table = dir.disk_table();
@@ -543,5 +448,91 @@ mod tests {
         let dir = GridDirectory::build(space, 1, |_| DiskId(0));
         assert_eq!(dir.load_vector(), vec![9]);
         assert_eq!(dir.buckets_on_disk(DiskId(0)).len(), 9);
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// Test-only reference planner: one checked `lookup` per bucket of the
+    /// naive region iterator, then a sort per disk group.
+    fn reference_plan(dir: &GridDirectory, region: &BucketRegion) -> Vec<Vec<u64>> {
+        let mut groups = vec![Vec::new(); dir.num_disks() as usize];
+        for bucket in region.iter() {
+            let bp = dir.lookup(&bucket).unwrap();
+            groups[bp.disk.index()].push(bp.page);
+        }
+        for group in &mut groups {
+            group.sort_unstable();
+        }
+        groups
+    }
+
+    /// Random k in 1..=4 grid (dims ≤ 6), a seeded scattered assignment
+    /// over 1..=7 disks, and a region that is random, 1-wide or full per
+    /// dimension.
+    fn dir_region() -> impl Strategy<Value = (GridDirectory, BucketRegion)> {
+        (
+            proptest::collection::vec((1u32..=6, 0u32..6, 0u32..6, 0u8..3), 1..5),
+            1u32..=7,
+            0u64..u64::MAX,
+        )
+            .prop_map(|(axes, m, seed)| {
+                let g = GridSpace::new(axes.iter().map(|a| a.0).collect::<Vec<u32>>()).unwrap();
+                let table: Vec<u32> = (0..g.num_buckets())
+                    .map(|id| {
+                        let h = (id ^ seed).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                        ((h >> 40) % u64::from(m)) as u32
+                    })
+                    .collect();
+                let (mut lo, mut hi) = (Vec::new(), Vec::new());
+                for &(d, a, b, mode) in &axes {
+                    let (a, b) = (a % d, b % d);
+                    let (l, h) = match mode {
+                        0 => (0, d - 1),
+                        1 => (a, a),
+                        _ => (a.min(b), a.max(b)),
+                    };
+                    lo.push(l);
+                    hi.push(h);
+                }
+                let r = BucketRegion::new(&g, lo.into(), hi.into()).unwrap();
+                (GridDirectory::from_table(g, m, &table).unwrap(), r)
+            })
+    }
+
+    proptest! {
+        /// The run-based planner equals the per-bucket lookup reference,
+        /// group for group, including when one arena is reused.
+        #[test]
+        fn io_plan_matches_lookup_reference((dir, r) in dir_region()) {
+            let expect = reference_plan(&dir, &r);
+            let mut plan = IoPlan::new();
+            // Dirty the arena first: a reused plan must match a fresh one.
+            dir.io_plan_into(&BucketRegion::full(dir.space()), &mut plan);
+            dir.io_plan_into(&r, &mut plan);
+            prop_assert_eq!(plan.num_disks(), expect.len());
+            for (d, group) in expect.iter().enumerate() {
+                prop_assert_eq!(plan.disk_pages(d), group.as_slice());
+            }
+            prop_assert_eq!(plan.total_pages() as u64, r.num_buckets());
+        }
+
+        /// Placement runs cover the region's buckets in row-major order,
+        /// each placement matching the per-bucket lookup.
+        #[test]
+        fn placement_runs_match_lookups((dir, r) in dir_region()) {
+            let mut got = Vec::new();
+            dir.for_each_placement_run(&r, |start, run| {
+                got.extend(run.iter().enumerate().map(|(i, &bp)| (start + i as u64, bp)));
+            });
+            let expect: Vec<(u64, BucketPage)> = r
+                .iter()
+                .map(|b| (dir.space().linearize(&b).unwrap(), dir.lookup(&b).unwrap()))
+                .collect();
+            prop_assert_eq!(got, expect);
+        }
     }
 }

@@ -113,6 +113,36 @@ impl BucketRegion {
         }
     }
 
+    /// Visits the region as maximal runs of consecutive linear bucket ids,
+    /// calling `f(start_id, len)` per run in ascending id order.
+    ///
+    /// Expanding every run reproduces [`BucketRegion::iter`] followed by
+    /// [`GridSpace::linearize_unchecked`], id for id. The walk steps the
+    /// outer dimensions and covers the rest as one id range: the last
+    /// dimension always, plus every dimension before it that the region
+    /// spans in full (so the whole grid is a single run). Nothing is
+    /// allocated. `space` must be the grid the region was built on.
+    pub fn for_each_run(&self, space: &GridSpace, mut f: impl FnMut(u64, u64)) {
+        let (lo, hi) = (self.lo.as_slice(), self.hi.as_slice());
+        let dims = space.dims();
+        let strides = space.strides();
+        // `inner` is the outermost dimension of the contiguous tail: every
+        // dimension after it is spanned in full.
+        let mut inner = lo.len() - 1;
+        while inner > 0 && lo[inner] == 0 && hi[inner] == dims[inner] - 1 {
+            inner -= 1;
+        }
+        let run = self.extent(inner) * strides[inner];
+        let first = u64::from(lo[inner]) * strides[inner];
+        walk_runs(
+            &lo[..inner],
+            &hi[..inner],
+            &strides[..inner],
+            first,
+            &mut |start| f(start, run),
+        );
+    }
+
     /// Translates the region by `delta` (added per-dimension), staying
     /// inside `space`. Returns `None` if the translated region would leave
     /// the grid. Used by workload generators to place query shapes.
@@ -136,6 +166,18 @@ impl BucketRegion {
             lo: BucketCoord::from(lo),
             hi: BucketCoord::from(hi),
         })
+    }
+}
+
+/// Steps the outer dimensions `lo..=hi` (row-major, first slot outermost)
+/// and calls `f` with each run's first id, `base` plus the outer offset.
+fn walk_runs(lo: &[u32], hi: &[u32], strides: &[u64], base: u64, f: &mut impl FnMut(u64)) {
+    let Some((&stride, strides)) = strides.split_first() else {
+        f(base);
+        return;
+    };
+    for c in lo[0]..=hi[0] {
+        walk_runs(&lo[1..], &hi[1..], strides, base + u64::from(c) * stride, f);
     }
 }
 
@@ -241,6 +283,23 @@ mod tests {
     }
 
     #[test]
+    fn runs_coalesce_full_trailing_dimensions() {
+        let g = GridSpace::new(vec![3, 4, 5]).unwrap();
+        let collect = |r: &BucketRegion| {
+            let mut runs = Vec::new();
+            r.for_each_run(&g, |start, len| runs.push((start, len)));
+            runs
+        };
+        assert_eq!(collect(&BucketRegion::full(&g)), vec![(0, 60)]);
+        // Full on the last two dimensions: one run per outer row.
+        let tail = BucketRegion::new(&g, [1, 0, 0].into(), [2, 3, 4].into()).unwrap();
+        assert_eq!(collect(&tail), vec![(20, 40)]);
+        // Partial last dimension: one run per (d0, d1) pair.
+        let box_ = BucketRegion::new(&g, [0, 1, 2].into(), [1, 2, 3].into()).unwrap();
+        assert_eq!(collect(&box_), vec![(7, 2), (12, 2), (27, 2), (32, 2)]);
+    }
+
+    #[test]
     fn contains_rejects_wrong_arity() {
         let g = grid();
         let r = BucketRegion::full(&g);
@@ -292,7 +351,45 @@ mod proptests {
         })
     }
 
+    /// Random grid with k in 1..=4 (dims ≤ 6) and an in-grid region whose
+    /// per-dimension bounds are either random (1-wide extents included) or
+    /// the full dimension, so whole-grid and full-tail regions turn up.
+    fn kd_region() -> impl Strategy<Value = (GridSpace, BucketRegion)> {
+        proptest::collection::vec((1u32..=6, 0u32..6, 0u32..6, 0u8..3), 1..5).prop_map(|axes| {
+            let g = GridSpace::new(axes.iter().map(|a| a.0).collect::<Vec<u32>>()).unwrap();
+            let (mut lo, mut hi) = (Vec::new(), Vec::new());
+            for &(d, a, b, mode) in &axes {
+                let (a, b) = (a % d, b % d);
+                let (l, h) = match mode {
+                    0 => (0, d - 1),
+                    1 => (a, a),
+                    _ => (a.min(b), a.max(b)),
+                };
+                lo.push(l);
+                hi.push(h);
+            }
+            let r = BucketRegion::new(&g, lo.into(), hi.into()).unwrap();
+            (g, r)
+        })
+    }
+
     proptest! {
+        /// The run walker expands to exactly the region iterator's linear
+        /// ids, in the same order, with no empty runs.
+        #[test]
+        fn runs_expand_to_the_iterated_ids((g, r) in kd_region()) {
+            let expect: Vec<u64> =
+                r.iter().map(|b| g.linearize_unchecked(b.as_slice())).collect();
+            let mut got = Vec::new();
+            let mut empty_runs = 0;
+            r.for_each_run(&g, |start, len| {
+                empty_runs += usize::from(len == 0);
+                got.extend(start..start + len);
+            });
+            prop_assert_eq!(empty_runs, 0);
+            prop_assert_eq!(got, expect);
+        }
+
         #[test]
         fn iter_count_matches_volume((_g, r) in region_in(6)) {
             prop_assert_eq!(r.iter().count() as u64, r.num_buckets());

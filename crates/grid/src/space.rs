@@ -119,6 +119,13 @@ impl GridSpace {
         Ok(())
     }
 
+    /// Row-major strides: `strides()[i]` is the linear-id distance between
+    /// neighbours along dimension `i` (the product of `dims[i+1..]`).
+    #[inline]
+    pub(crate) fn strides(&self) -> &[u64] {
+        &self.strides
+    }
+
     /// Row-major linearization of a bucket coordinate.
     ///
     /// The last dimension varies fastest. Used by the round-robin baseline,

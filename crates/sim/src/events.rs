@@ -1123,9 +1123,9 @@ impl ServingEngine {
     /// windows of `cfg.batch_window_ms` of logical time. The first
     /// arrival of a window opens it and schedules a [`ServeEventKind::Flush`]
     /// one window later; every arrival before the flush joins the window.
-    /// At flush time the members' I/O plans are merged into one
-    /// deduplicated per-disk schedule (a [`decluster_methods::SharedScan`]
-    /// over `dir`'s flat [`decluster_grid::IoPlan`] arena), issued once
+    /// At flush time the members' buckets are deduplicated into one
+    /// per-disk distinct-page schedule (a [`decluster_methods::SharedScan`]
+    /// marking linear bucket ids over `dir`'s placement runs), issued once
     /// across the `1 + r` replica copies per `cfg.policy`, and the
     /// completion fans back to every member — each latency measured from
     /// its own arrival, so queueing inside the window shows up in the
@@ -1248,8 +1248,8 @@ impl ServingEngine {
                         if members > 1 {
                             merged_queries += members as u64;
                         }
-                        // Merge the members' plans into one deduplicated
-                        // schedule, attributing saved pages.
+                        // Deduplicate the members' pages into per-disk
+                        // counts, attributing saved pages.
                         let mut own = 0u64;
                         {
                             let (shared, batch) = (&mut ls.shared, &ls.batch);
@@ -1259,14 +1259,14 @@ impl ServingEngine {
                                 own += att.own_pages;
                             }
                         }
-                        let fresh = ls.shared.merged().total_pages() as u64;
+                        let fresh = ls.shared.total_pages();
                         pages += fresh;
                         pages_saved += own - fresh;
                         let route_key = ls.batch.first().map_or(0, |&(q, _)| q);
                         let completion = self.fan_out_merged(
                             params,
                             ev.time,
-                            ls.shared.merged(),
+                            &ls.shared,
                             cfg.replicas,
                             cfg.policy,
                             route_key,
@@ -1358,7 +1358,7 @@ impl ServingEngine {
         &self,
         params: &DiskParams,
         issue_at: f64,
-        merged: &decluster_grid::IoPlan,
+        merged: &decluster_methods::SharedScan,
         replicas: u32,
         policy: ReplicaPolicy,
         route_key: u64,
@@ -1399,7 +1399,7 @@ impl ServingEngine {
         let copies = u64::from(replicas) + 1;
         let mut completion = issue_at;
         for d in 0..m {
-            let count = merged.disk_pages(d).len() as u64;
+            let count = merged.disk_count(d);
             if count == 0 {
                 continue;
             }

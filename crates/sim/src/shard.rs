@@ -955,11 +955,11 @@ impl ServingEngine {
             for qi in m_lo..i {
                 own += ls.shared.absorb(dir, &queries[qi % lq]).own_pages;
             }
-            let fresh = ls.shared.merged().total_pages() as u64;
+            let fresh = ls.shared.total_pages();
             let route_key = m_lo as u64;
             let t_lo = sh.win_targets.len();
             for d in 0..m {
-                let count = ls.shared.merged().disk_pages(d).len() as u64;
+                let count = ls.shared.disk_count(d);
                 if count == 0 {
                     continue;
                 }

@@ -104,7 +104,8 @@ fn warmed_loops_make_zero_heap_allocations() {
         .seed(9);
     // Shared scans over the burst: a 24 ms batch window spans dozens of
     // arrivals, so windows flush, queries merge, and duplicate pages drop
-    // while the loop runs out of the three warmed SharedScan arenas.
+    // while the loop runs out of the warmed SharedScan mark bitset,
+    // touched-word list and per-disk count vector.
     let shared_spec = ServeSpec::open(200.0)
         .sampling(64.0)
         .share(24.0)
