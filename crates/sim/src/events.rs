@@ -225,8 +225,13 @@ impl LatencyRing {
         }
     }
 
+    /// The fixed capacity: the window of the most recent completions.
+    pub(crate) fn capacity(&self) -> usize {
+        self.cap
+    }
+
     /// The window contents, in no particular order (quantile extraction
-    /// sorts its own copy).
+    /// permutes its own copy).
     pub(crate) fn as_slice(&self) -> &[f64] {
         &self.buf
     }

@@ -113,9 +113,10 @@ pub struct MultiUserReport {
     pub utilization: f64,
 }
 
-/// Builds the aggregate report. Sorts `latencies` in place for the tail
-/// quantiles — the summary moments are taken first, in recording order,
-/// so their floating-point sums keep their historical bit patterns.
+/// Builds the aggregate report. Selects the tail quantiles in place, so
+/// `latencies` is left permuted (not sorted) — the summary moments are
+/// taken first, in recording order, so their floating-point sums keep
+/// their historical bit patterns.
 pub(crate) fn assemble_report(
     queries: usize,
     clients: usize,

@@ -8,10 +8,11 @@
 //! that split:
 //!
 //! 1. **Stage A (sequential, tiny).** The query stream is periodic
-//!    (`queries[i % L]`), so per-disk counts are computed once per
-//!    distinct region into an `L × M` table, and the serial loop's
-//!    shape-cache hit/miss counters are reproduced exactly by replaying
-//!    the [`decluster_methods::PlanCache`] LRU policy over the shape-id
+//!    (`queries[i % L]`), so per-disk counts — and their service times
+//!    under the disk model — are computed once per distinct region into
+//!    `L × M` tables, and the serial loop's shape-cache hit/miss
+//!    counters are reproduced exactly by replaying the
+//!    [`decluster_methods::PlanCache`] LRU policy over the shape-id
 //!    sequence (with steady-state cycle detection, so a million-request
 //!    run costs a few periods).
 //! 2. **Stage B (parallel).** Disk `d` belongs to shard
@@ -21,22 +22,25 @@
 //!    busy-disk counts on the sample grid. Per-disk FCFS state never
 //!    crosses a shard boundary, so every floating-point operation
 //!    sequence per disk is byte-identical to the serial loop's.
-//! 3. **Merge + replay (sequential, lean).** Partial completions are
-//!    folded in shard order with `f64::max` (associative and exact —
-//!    each partial already folds from the issue time), then the serial
-//!    event loop is replayed with the fan-out replaced by a table
-//!    lookup: the event heap sees the same `(total_cmp(time), seq)`
-//!    pushes in the same order, so `peak_in_flight`, sample
-//!    `in_flight`/`completed`, latencies, and the latency ring evolve
-//!    bit-identically.
+//! 3. **Merge + sweep (sequential, heap-free).** Partial completions
+//!    are folded in shard order with `f64::max` (associative and exact
+//!    — each partial already folds from the issue time). The serial
+//!    loop's event heap is then rebuilt without running it: its
+//!    completions pop in `(total_cmp(completion), arrival index)`
+//!    order, which an insertion sort over a `u32` index buffer computes
+//!    in near-linear time (completions arrive nearly sorted). One linear
+//!    pass yields latencies, pages and the makespan; a two-pointer pass
+//!    over arrivals and pop order yields `peak_in_flight`; and each
+//!    sample at boundary `T` reads `#{a < T}`, `#{c < T}` and the last
+//!    `window` popped latencies — exactly the state the serial loop
+//!    holds when it fires that sample.
 //!
-//! With `threads > 1` stages B and the replay are pipelined over
+//! With `threads > 1` stage B and the merge are pipelined over
 //! arrival-count epochs ([`EPOCH_ARRIVALS`]): shard workers walk epoch
-//! `e+1` while the main thread merges and replays epoch `e`, hiding the
-//! sequential tail. The pipeline only changes *when* work happens, never
-//! its values, so the result is byte-identical at any `--shards` and
-//! `--threads` combination — including `--shards 1`, which is the serial
-//! loop itself.
+//! `e+1` while the main thread merges epoch `e`. The pipeline only
+//! changes *when* work happens, never its values, so the result is
+//! byte-identical at any `--shards` and `--threads` combination —
+//! including `--shards 1`, which is the serial loop itself.
 //!
 //! The shared-scan path parallelizes the same way with windows instead
 //! of arrivals: window membership, merged plans, and replica routing are
@@ -60,7 +64,7 @@ use decluster_grid::{BucketRegion, GridDirectory};
 use decluster_obs::{Obs, TraceEvent};
 
 /// Arrivals per pipeline epoch. Large enough that the per-epoch channel
-/// hop is noise, small enough that the replay stays hot in cache and
+/// hop is noise, small enough that the merge stays hot in cache and
 /// the pipeline fills within a fraction of a million-request run.
 pub(crate) const EPOCH_ARRIVALS: usize = 8192;
 
@@ -87,6 +91,8 @@ fn epoch_bounds(e: usize, n: usize) -> (usize, usize) {
 pub(crate) struct ShardScratch {
     /// `L × M` per-disk page counts, one row per distinct query region.
     table: Vec<u64>,
+    /// `L × M` per-disk service times of those counts, ms.
+    service: Vec<f64>,
     /// Total pages per distinct query region.
     pages_of: Vec<u64>,
     /// Dense shape id per distinct region (shape = per-dim extents, the
@@ -96,6 +102,8 @@ pub(crate) struct ShardScratch {
     shape_keys: Vec<u64>,
     /// Merged per-arrival completion times.
     completions: Vec<f64>,
+    /// Arrival indices in completion pop order (see [`pop_order`]).
+    order: Vec<u32>,
     /// Per-shard walk state; `states[..s]` are live for a run.
     states: Vec<ShardState>,
     /// LRU replay scratch for the shape-cache counters.
@@ -265,110 +273,152 @@ impl LruReplay {
     }
 }
 
-/// Replay-side running state of the sequential event loop.
-struct Replay {
-    sample_every: f64,
-    next_sample: f64,
+/// Insertion-sort shifts per arrival that [`pop_order`] spends before it
+/// falls back to a full sort. FCFS queues finish mostly in arrival
+/// order, so a healthy run needs one or two; a run that needs more is
+/// sorted in `O(n log n)` instead.
+const SHIFTS_PER_ARRIVAL: usize = 32;
+
+/// Fills `order` with the serial loop's completion pop order: arrival
+/// indices sorted by `(completion total_cmp, index)`, the event heap's
+/// `(time, seq)` key (completions are the heap's only pushes, so `seq`
+/// is the arrival index). Completions arrive nearly sorted, so this
+/// runs an insertion sort; once it has spent [`SHIFTS_PER_ARRIVAL`]
+/// shifts per arrival it sorts in place instead — the composite key is
+/// unique, so an unstable sort gives the same order. Allocation-free
+/// once `order` has grown to the run length. Returns whether the
+/// fallback ran.
+fn pop_order(completions: &[f64], order: &mut Vec<u32>) -> bool {
+    let n = completions.len();
+    assert!(
+        u32::try_from(n).is_ok(),
+        "a sharded run indexes its arrivals with u32"
+    );
+    order.clear();
+    order.reserve(n);
+    let mut budget = SHIFTS_PER_ARRIVAL * n;
+    for (i, &c) in completions.iter().enumerate() {
+        order.push(i as u32);
+        let mut j = i;
+        while j > 0 && completions[order[j - 1] as usize].total_cmp(&c).is_gt() {
+            if budget == 0 {
+                order.clear();
+                order.extend(0..n as u32);
+                order.sort_unstable_by(|&x, &y| {
+                    completions[x as usize]
+                        .total_cmp(&completions[y as usize])
+                        .then(x.cmp(&y))
+                });
+                return true;
+            }
+            budget -= 1;
+            order[j] = order[j - 1];
+            j -= 1;
+        }
+        order[j] = i as u32;
+    }
+    false
+}
+
+/// Aggregates of the serial event loop that the sweep rebuilds.
+struct Sweep {
     makespan: f64,
     pages: u64,
-    events: u64,
-    completed: u64,
-    next_arrival: usize,
+    peak_in_flight: usize,
 }
 
-impl Replay {
-    fn new(sample_every: f64) -> Self {
-        Replay {
-            sample_every,
-            next_sample: sample_every,
-            makespan: 0.0,
-            pages: 0,
-            events: 0,
-            completed: 0,
-            next_arrival: 0,
-        }
-    }
-}
-
-/// Replays the serial serve loop over `arrivals[..stop_before]` with the
-/// fan-out replaced by precomputed completions. With `drain` it also
-/// runs the heap dry (the serial loop's termination condition). Pending
-/// completions past the boundary stay queued for the next call, so the
-/// concatenation of epoch calls executes the exact serial event
-/// sequence. `busy_disks` is left 0 and patched after the shard walks
-/// complete.
-fn replay_epoch(
-    rs: &mut Replay,
+/// Rebuilds everything the serial loop's event heap produced from the
+/// merged completions, without a heap. The serial loop's events are the
+/// arrivals in index order merged with the completions in pop order,
+/// where completion `k` pops before arrival `i` iff it was pushed
+/// (`k < i`) and `c_k <= a_i` (completions win time ties). Event times
+/// never decrease along that merge, so a sample at boundary `T` — which
+/// fires before the first event at or past `T` — sees exactly the events
+/// before `T`: `#{a < T}` arrivals and `#{c < T}` completions, and a
+/// ring holding the last `window` of those completions in pop order.
+/// Samples fire up to the last event, the largest completion, which is
+/// the makespan. `busy_disks` is left 0 and patched from the walks.
+fn sweep(
     ls: &mut LoopScratch,
+    order: &mut Vec<u32>,
     arrivals: &[f64],
     completions: &[f64],
     pages_of: &[u64],
-    stop_before: usize,
-    drain: bool,
-) {
+    window: usize,
+    sample_every: f64,
+) -> Sweep {
+    let n = arrivals.len();
     let l = pages_of.len();
-    loop {
-        let more = rs.next_arrival < stop_before;
-        if !more && (!drain || ls.events.is_empty()) {
-            break;
+    let mut makespan = 0.0f64;
+    let mut pages = 0u64;
+    let mut row = 0usize;
+    for (&a, &c) in arrivals.iter().zip(completions) {
+        ls.latencies.push(c - a);
+        makespan = makespan.max(c);
+        pages += pages_of[row];
+        row += 1;
+        if row == l {
+            row = 0;
         }
-        let arrival_t = if more {
-            arrivals[rs.next_arrival]
-        } else {
-            f64::INFINITY
-        };
-        let take_completion = ls.events.peek_time().is_some_and(|t| t <= arrival_t);
-        let event_t = if take_completion {
-            ls.events.peek_time().expect("non-empty heap")
-        } else {
-            arrival_t
-        };
-        while rs.next_sample <= event_t {
-            let tail_ms = {
-                ls.sorted.clear();
-                ls.sorted.extend_from_slice(ls.ring.as_slice());
-                Quantiles::of_unsorted(&mut ls.sorted)
-            };
-            ls.samples.push(ServeSample {
-                at_ms: rs.next_sample,
-                in_flight: ls.events.len(),
-                busy_disks: 0,
-                completed: rs.completed,
-                tail_ms,
-            });
-            rs.next_sample += rs.sample_every;
+    }
+
+    pop_order(completions, order);
+    let completion_at = |p: usize| completions[order[p] as usize];
+
+    // The heap's size peaks right after an arrival's push.
+    let mut popped = 0usize;
+    let mut peak_in_flight = 0usize;
+    for (i, &a) in arrivals.iter().enumerate() {
+        while popped < n && (order[popped] as usize) < i && completion_at(popped) <= a {
+            popped += 1;
         }
-        if take_completion {
-            let ev = ls.events.pop().expect("non-empty heap");
-            ls.ring.push(ev.payload);
-            rs.completed += 1;
-        } else {
-            let issue_at = arrival_t;
-            let i = rs.next_arrival;
-            rs.next_arrival += 1;
-            rs.pages += pages_of[i % l];
-            let completion = completions[i];
-            ls.latencies.push(completion - issue_at);
-            rs.makespan = rs.makespan.max(completion);
-            ls.events.push(completion, completion - issue_at);
+        peak_in_flight = peak_in_flight.max(i + 1 - popped);
+    }
+
+    let mut t = sample_every;
+    let mut arrived = 0usize;
+    let mut done = 0usize;
+    while t <= makespan {
+        while arrived < n && arrivals[arrived] < t {
+            arrived += 1;
         }
-        rs.events += 1;
+        while done < n && completion_at(done) < t {
+            done += 1;
+        }
+        ls.sorted.clear();
+        ls.sorted.extend(
+            order[done.saturating_sub(window)..done]
+                .iter()
+                .map(|&k| ls.latencies[k as usize]),
+        );
+        ls.samples.push(ServeSample {
+            at_ms: t,
+            in_flight: arrived - done,
+            busy_disks: 0,
+            completed: done as u64,
+            tail_ms: Quantiles::of_unsorted(&mut ls.sorted),
+        });
+        t += sample_every;
+    }
+    Sweep {
+        makespan,
+        pages,
+        peak_in_flight,
     }
 }
 
 /// One shard's walk over an epoch of arrivals: fires its slice of the
 /// sample grid, applies each arrival's batches to its owned disks (the
 /// exact FCFS math of `ServingEngine::fan_out`, restricted to
-/// `[lo, hi)`), and emits the shard-partial completion per arrival.
+/// `[lo, hi)`, with the service times precomputed in stage A), and
+/// emits the shard-partial completion per arrival.
 #[allow(clippy::too_many_arguments)]
 fn walk_epoch(
-    engine: &ServingEngine,
-    params: &DiskParams,
     arrivals: &[f64],
     i0: usize,
     i1: usize,
-    table: &[u64],
-    l: usize,
+    counts: &[u64],
+    service: &[f64],
     m: usize,
     sample_every: f64,
     record: bool,
@@ -377,8 +427,9 @@ fn walk_epoch(
 ) {
     out.clear();
     let (lo, hi) = (st.lo, st.hi);
-    for i in i0..i1 {
-        let a = arrivals[i];
+    let l = counts.len() / m;
+    let mut row = (i0 % l) * m;
+    for &a in &arrivals[i0..i1] {
         // A sample boundary at or before this arrival sees the free
         // state after every strictly earlier arrival — exactly the
         // serial rule (samples fire before the event that crosses them,
@@ -389,16 +440,19 @@ fn walk_epoch(
                 .push(st.free.iter().filter(|&&f| f > t).count() as u32);
             st.next_sample += sample_every;
         }
-        let row = &table[(i % l) * m..(i % l) * m + m];
+        let lanes = counts[row + lo..row + hi]
+            .iter()
+            .zip(&service[row + lo..row + hi]);
         let mut completion = a;
-        for (j, &count) in row[lo..hi].iter().enumerate() {
+        for ((&count, &service), (free, busy)) in
+            lanes.zip(st.free.iter_mut().zip(st.busy.iter_mut()))
+        {
             if count == 0 {
                 continue;
             }
-            let start = a.max(st.free[j]);
-            let service = params.batch_ms_counts(count, engine.load_of(lo + j));
-            st.free[j] = start + service;
-            st.busy[j] += service;
+            let start = a.max(*free);
+            *free = start + service;
+            *busy += service;
             completion = completion.max(start + service);
             if record {
                 st.batches += 1;
@@ -408,6 +462,10 @@ fn walk_epoch(
             }
         }
         out.push(completion);
+        row += m;
+        if row == counts.len() {
+            row = 0;
+        }
     }
 }
 
@@ -456,10 +514,12 @@ impl ServingEngine {
         let mut sh = std::mem::take(&mut ls.shard);
         let l = queries.len();
 
-        // Stage A: one kernel call per distinct region, plus shape ids
-        // for the LRU counter replay.
+        // Stage A: one kernel call per distinct region, its per-disk
+        // service times, plus shape ids for the LRU counter replay.
         sh.table.clear();
         sh.table.resize(l * m, 0);
+        sh.service.clear();
+        sh.service.resize(l * m, 0.0);
         sh.pages_of.clear();
         sh.shape_of.clear();
         sh.shape_keys.clear();
@@ -467,6 +527,13 @@ impl ServingEngine {
         for (qi, region) in queries.iter().enumerate() {
             let pages = self.counts_into(region, &mut ls.plans, &mut ls.scratch, &mut ls.hist);
             sh.table[qi * m..(qi + 1) * m].copy_from_slice(&ls.hist);
+            for (d, (service, &count)) in sh.service[qi * m..(qi + 1) * m]
+                .iter_mut()
+                .zip(&ls.hist)
+                .enumerate()
+            {
+                *service = params.batch_ms_counts(count, self.load_of(d));
+            }
             sh.pages_of.push(pages);
             let nshapes = sh.shape_keys.len() / dims;
             let mut id = nshapes as u32;
@@ -499,24 +566,24 @@ impl ServingEngine {
         setup_states(&mut sh.states, s, m, sample_every);
         sh.completions.clear();
         sh.completions.resize(n, 0.0);
-        let mut rs = Replay::new(sample_every);
         let n_epochs = n.div_ceil(EPOCH_ARRIVALS);
 
-        let (batches, queued_batches) = {
+        let (sw, batches, queued_batches) = {
             let ShardScratch {
                 table,
+                service,
                 pages_of,
                 completions,
+                order,
                 states,
                 ..
             } = &mut sh;
             let table: &[u64] = table;
-            let pages_of: &[u64] = pages_of;
-            let engine = self;
+            let service: &[f64] = service;
             if threads > 1 && n_epochs > 1 {
                 // Pipelined: workers walk epoch e+1 while the main
-                // thread merges and replays epoch e. Two primed buffers
-                // per worker bound the run-ahead to one epoch.
+                // thread merges epoch e. Two primed buffers per worker
+                // bound the run-ahead to one epoch.
                 std::thread::scope(|scope| {
                     let (done_tx, done_rx) = std::sync::mpsc::channel::<(usize, usize, Vec<f64>)>();
                     let mut work = Vec::with_capacity(s);
@@ -531,13 +598,11 @@ impl ServingEngine {
                                 let Ok(mut buf) = wrx.recv() else { return };
                                 let (i0, i1) = epoch_bounds(e, n);
                                 walk_epoch(
-                                    engine,
-                                    params,
                                     arrivals_ms,
                                     i0,
                                     i1,
                                     table,
-                                    l,
+                                    service,
                                     m,
                                     sample_every,
                                     record,
@@ -581,7 +646,6 @@ impl ServingEngine {
                             }
                             let _ = work[si].send(buf);
                         }
-                        replay_epoch(&mut rs, ls, arrivals_ms, completions, pages_of, i1, false);
                     }
                 });
             } else {
@@ -590,13 +654,11 @@ impl ServingEngine {
                     for (si, st) in states[..s].iter_mut().enumerate() {
                         let mut part = std::mem::take(&mut st.part);
                         walk_epoch(
-                            engine,
-                            params,
                             arrivals_ms,
                             i0,
                             i1,
                             table,
-                            l,
+                            service,
                             m,
                             sample_every,
                             record,
@@ -610,10 +672,17 @@ impl ServingEngine {
                         }
                         st.part = part;
                     }
-                    replay_epoch(&mut rs, ls, arrivals_ms, completions, pages_of, i1, false);
                 }
             }
-            replay_epoch(&mut rs, ls, arrivals_ms, completions, pages_of, n, true);
+            let sw = sweep(
+                ls,
+                order,
+                arrivals_ms,
+                completions,
+                pages_of,
+                ls.ring.capacity(),
+                sample_every,
+            );
 
             // Fold shard state back into the scratch in shard (= disk)
             // order, and patch the sample busy counts: recorded partials
@@ -639,34 +708,36 @@ impl ServingEngine {
                 }
                 smp.busy_disks = busy;
             }
-            (batches, queued)
+            (sw, batches, queued)
         };
         ls.shard = sh;
+        // Every arrival and every completion is one event of the serial loop.
+        let events = 2 * n as u64;
 
         if let Some(meters) = &meters {
             meters.record(n, batches, queued_batches, &ls.disk_busy_ms, &ls.latencies);
-            obs.gauge_max("serve.peak_in_flight", ls.events.peak_len() as u64);
-            obs.counter_add("serve.events", rs.events);
-            obs.counter_add("serve.pages", rs.pages);
+            obs.gauge_max("serve.peak_in_flight", sw.peak_in_flight as u64);
+            obs.counter_add("serve.events", events);
+            obs.counter_add("serve.pages", sw.pages);
             obs.counter_add("serve.samples", ls.samples.len() as u64);
             obs.counter_add("kernel.shape_cache_hits", shape_hits);
             obs.counter_add("kernel.shape_cache_misses", shape_misses);
         }
-        let report = assemble_report(n, 0, rs.makespan, m, &ls.disk_busy_ms, &mut ls.latencies);
+        let report = assemble_report(n, 0, sw.makespan, m, &ls.disk_busy_ms, &mut ls.latencies);
         if obs.trace_enabled() {
             obs.emit(
                 TraceEvent::new("serve_done")
                     .with("requests", n)
-                    .with("events", rs.events)
-                    .with("peak_in_flight", ls.events.peak_len())
+                    .with("events", events)
+                    .with("peak_in_flight", sw.peak_in_flight)
                     .with("makespan_ms", report.makespan_ms),
             );
         }
         ServeReport {
             report,
-            events: rs.events,
-            peak_in_flight: ls.events.peak_len(),
-            pages: rs.pages,
+            events,
+            peak_in_flight: sw.peak_in_flight,
+            pages: sw.pages,
             samples: ls.samples.len(),
         }
     }
@@ -1147,6 +1218,52 @@ mod tests {
             };
             assert_eq!(fast, brute, "case {case}: L={l} n={n} cap={capacity}");
         }
+    }
+
+    /// The event heap's pop order, by the obviously correct route: a
+    /// stable sort by `total_cmp` keeps equal completions in index order.
+    fn stable_order(completions: &[f64]) -> Vec<u32> {
+        let mut order: Vec<u32> = (0..completions.len() as u32).collect();
+        order.sort_by(|&x, &y| completions[x as usize].total_cmp(&completions[y as usize]));
+        order
+    }
+
+    #[test]
+    fn pop_order_is_the_stable_time_index_order() {
+        let n = 1000usize;
+        let mut rng = StdRng::seed_from_u64(3);
+        let reversed: Vec<f64> = (0..n).rev().map(|v| v as f64).collect();
+        let cases: [(&str, Vec<f64>, Option<bool>); 5] = [
+            ("reversed", reversed, Some(true)),
+            (
+                "alternating",
+                (0..n).map(|i| (i % 2) as f64).collect(),
+                None,
+            ),
+            ("all-equal", vec![4.5; n], Some(false)),
+            (
+                "random",
+                (0..n).map(|_| f64::from(rng.gen_range(0..50u32))).collect(),
+                None,
+            ),
+            (
+                "nearly-sorted",
+                (0..n)
+                    .map(|i| i as f64 + f64::from(rng.gen_range(0..4u32)))
+                    .collect(),
+                Some(false),
+            ),
+        ];
+        let mut order = Vec::new();
+        for (tag, completions, fallback) in cases {
+            let fell_back = pop_order(&completions, &mut order);
+            assert_eq!(order, stable_order(&completions), "{tag}");
+            if let Some(expected) = fallback {
+                assert_eq!(fell_back, expected, "{tag}: fallback");
+            }
+        }
+        assert!(!pop_order(&[], &mut order));
+        assert!(order.is_empty());
     }
 
     #[test]

@@ -62,8 +62,8 @@ impl Summary {
     }
 }
 
-/// Exact latency tail quantiles, extracted by nearest-rank from the full
-/// sorted sample (no sketches, no interpolation): deterministic for a
+/// Exact latency tail quantiles, extracted by nearest-rank over the full
+/// sample (no sketches, no interpolation): deterministic for a
 /// deterministic sample, so 1-thread and N-thread runs agree bit for bit.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct Quantiles {
@@ -76,37 +76,64 @@ pub struct Quantiles {
 }
 
 impl Quantiles {
-    /// Nearest-rank quantile of an ascending-sorted sample: the smallest
-    /// observation whose rank `r` satisfies `r / n >= q`. Zero when empty.
-    fn nearest_rank(sorted: &[f64], q: f64) -> f64 {
-        if sorted.is_empty() {
-            return 0.0;
-        }
-        let rank = (q * sorted.len() as f64).ceil() as usize;
-        sorted[rank.max(1) - 1]
+    /// Zero-based index of the nearest-rank `q` quantile in an ascending
+    /// sample of `n > 0` observations: the smallest rank `r` with
+    /// `r / n >= q`, minus one.
+    fn rank_index(n: usize, q: f64) -> usize {
+        let rank = (q * n as f64).ceil() as usize;
+        rank.max(1) - 1
     }
 
     /// Extracts p50/p95/p99 from an ascending-sorted sample. An empty
     /// sample yields all-zero quantiles.
     pub fn of_sorted(sorted: &[f64]) -> Self {
+        let n = sorted.len();
+        if n == 0 {
+            return Quantiles::default();
+        }
         Quantiles {
-            p50: Self::nearest_rank(sorted, 0.50),
-            p95: Self::nearest_rank(sorted, 0.95),
-            p99: Self::nearest_rank(sorted, 0.99),
+            p50: sorted[Self::rank_index(n, 0.50)],
+            p95: sorted[Self::rank_index(n, 0.95)],
+            p99: sorted[Self::rank_index(n, 0.99)],
         }
     }
 
-    /// Sorts `values` in place (total order, so NaNs cannot poison the
-    /// ranks) and extracts the quantiles. Allocation-free.
+    /// Extracts the quantiles by selection, without a full sort: p99
+    /// first, then p95 among the values left of it, then p50 left of
+    /// that. Bit-identical to sorting under [`f64::total_cmp`] (a total
+    /// order, so NaNs cannot poison the ranks) and calling
+    /// [`Quantiles::of_sorted`]: the `k`-th smallest value of a total
+    /// order is unique, bit pattern included. Leaves `values` permuted
+    /// in no useful order. Allocation-free.
     pub fn of_unsorted(values: &mut [f64]) -> Self {
-        values.sort_unstable_by(f64::total_cmp);
-        Self::of_sorted(values)
+        let n = values.len();
+        if n == 0 {
+            return Quantiles::default();
+        }
+        let i99 = Self::rank_index(n, 0.99);
+        let i95 = Self::rank_index(n, 0.95);
+        let i50 = Self::rank_index(n, 0.50);
+        let p99 = *values.select_nth_unstable_by(i99, f64::total_cmp).1;
+        // Selection leaves every value left of `i99` at or below p99, so
+        // the lower ranks are selected within that prefix alone.
+        let p95 = if i95 < i99 {
+            *values[..i99].select_nth_unstable_by(i95, f64::total_cmp).1
+        } else {
+            p99
+        };
+        let p50 = if i50 < i95 {
+            *values[..i95].select_nth_unstable_by(i50, f64::total_cmp).1
+        } else {
+            p95
+        };
+        Quantiles { p50, p95, p99 }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn empty_sample() {
@@ -191,6 +218,40 @@ mod tests {
             Quantiles::of_unsorted(&mut shuffled),
             Quantiles::of_sorted(&sorted)
         );
+    }
+
+    /// Values drawn to stress the total order: duplicates, signed zeros,
+    /// infinities and NaNs of both signs.
+    fn awkward_value() -> impl Strategy<Value = f64> {
+        (0u8..13, 0u8..16, -1.0e6f64..1.0e6).prop_map(|(pick, small, wide)| match pick {
+            0..=3 => f64::from(small),
+            4..=6 => wide,
+            7 => 0.0,
+            8 => -0.0,
+            9 => f64::INFINITY,
+            10 => f64::NEG_INFINITY,
+            11 => f64::NAN,
+            _ => -f64::NAN,
+        })
+    }
+
+    fn bits(q: Quantiles) -> [u64; 3] {
+        [q.p50.to_bits(), q.p95.to_bits(), q.p99.to_bits()]
+    }
+
+    proptest! {
+        #[test]
+        fn selection_equals_sort_then_of_sorted(
+            values in prop::collection::vec(awkward_value(), 0..3001)
+        ) {
+            let mut sorted = values.clone();
+            sorted.sort_unstable_by(f64::total_cmp);
+            let mut scratch = values;
+            prop_assert_eq!(
+                bits(Quantiles::of_unsorted(&mut scratch)),
+                bits(Quantiles::of_sorted(&sorted))
+            );
+        }
     }
 
     #[test]

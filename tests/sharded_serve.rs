@@ -4,10 +4,15 @@
 //! serial run in every observable: the aggregate report, the event-loop
 //! counters, the mid-run samples, and the rendered metrics snapshot,
 //! for shard counts S in {1, 2, 7, M} and for inline as well as
-//! threaded shard walking. The fault-injected path has global feedback
-//! and falls back to the serial core, so its equality is trivial by
-//! construction — it is still generated here so the shard-count
-//! validation and dispatch stay covered on every mode.
+//! threaded shard walking. Lattice cases put arrivals, sample boundaries
+//! and (with integer or zero disk times) completions on a common integer
+//! grid, so tied arrivals, completions tied with arrivals, and samples
+//! landing exactly on event times pin the serial heap's `(time, seq)`
+//! tie rule, together with ring windows of 1, 3 and 1024 latencies.
+//! The fault-injected path has global feedback and falls back to the
+//! serial core, so its equality is trivial by construction — it is
+//! still generated here so the shard-count validation and dispatch stay
+//! covered on every mode.
 
 use decluster::grid::{BucketRegion, GridDirectory, GridSpace};
 use decluster::obs::{MetricsRecorder, Obs};
@@ -52,6 +57,11 @@ struct Case {
     gaps: Vec<f64>,
     /// Mid-run sampling period, when on.
     sampling: Option<f64>,
+    /// Capacity of the latency ring behind each sample's tails.
+    window: usize,
+    /// Disk timing: the default model, or integer / zero service times
+    /// that put completions on the same grid as lattice arrivals.
+    disk: Disk,
     mode: Mode,
     /// Worker threads for the sharded runs (1 = inline walk).
     threads: usize,
@@ -87,24 +97,80 @@ fn mode() -> impl Strategy<Value = Mode> {
     ]
 }
 
+/// Disk service-time model of a case.
+#[derive(Clone, Copy, Debug)]
+enum Disk {
+    Default,
+    /// Every page costs 2 ms.
+    Integer,
+    /// Every batch costs nothing: each completion ties its own arrival.
+    Free,
+}
+
+impl Disk {
+    fn params(self) -> DiskParams {
+        let uniform = |seek_ms, transfer_ms| DiskParams {
+            min_seek_ms: seek_ms,
+            max_seek_ms: seek_ms,
+            rotational_latency_ms: 0.0,
+            transfer_ms,
+        };
+        match self {
+            Disk::Default => DiskParams::default(),
+            Disk::Integer => uniform(1.0, 1.0),
+            Disk::Free => uniform(0.0, 0.0),
+        }
+    }
+}
+
+/// One inter-arrival gap: continuous, an exact zero (a tied arrival),
+/// or a small integer (arrivals on the integer lattice).
+fn gap() -> impl Strategy<Value = f64> {
+    prop_oneof![0.0f64..4.0, Just(0.0), (0u32..=3).prop_map(f64::from)]
+}
+
+/// Inter-arrival gaps: mixed kinds, or all integers so every arrival
+/// sits on the lattice.
+fn gaps(n: usize) -> impl Strategy<Value = Vec<f64>> {
+    prop_oneof![
+        prop::collection::vec(gap(), n..n + 1),
+        prop::collection::vec((0u32..=3).prop_map(f64::from), n..n + 1),
+    ]
+}
+
 fn case() -> impl Strategy<Value = Case> {
     (7u32..=12, 12usize..=48).prop_flat_map(|(m, n)| {
         (
             Just(m),
             any::<u64>(),
-            prop::collection::vec(0.0f64..4.0, n..n + 1),
-            prop_oneof![Just(None), (4.0f64..48.0).prop_map(Some)],
+            (
+                gaps(n),
+                prop_oneof![Just(Disk::Default), Just(Disk::Integer), Just(Disk::Free)],
+            ),
+            (
+                prop_oneof![
+                    Just(None),
+                    (4.0f64..48.0).prop_map(Some),
+                    // Integer periods land exactly on lattice arrivals.
+                    (1u32..=12).prop_map(|t| Some(f64::from(t))),
+                ],
+                prop_oneof![Just(1usize), Just(3usize), Just(1024usize)],
+            ),
             mode(),
             prop_oneof![Just(1usize), Just(3usize)],
         )
-            .prop_map(|(m, query_seed, gaps, sampling, mode, threads)| Case {
-                m,
-                query_seed,
-                gaps,
-                sampling,
-                mode,
-                threads,
-            })
+            .prop_map(
+                |(m, query_seed, (gaps, disk), (sampling, window), mode, threads)| Case {
+                    m,
+                    query_seed,
+                    gaps,
+                    sampling,
+                    window,
+                    disk,
+                    mode,
+                    threads,
+                },
+            )
     })
 }
 
@@ -114,7 +180,7 @@ const SHAPES: [[u32; 2]; 5] = [[1, 1], [2, 2], [2, 8], [4, 4], [6, 6]];
 fn spec_for(case: &Case, m: u32) -> ServeSpec {
     // The open-mode rate is unused by `run_with_arrivals` (arrivals are
     // explicit), but the mode still selects the streaming dispatch.
-    let mut spec = ServeSpec::open(100.0).seed(7);
+    let mut spec = ServeSpec::open(100.0).seed(7).window(case.window);
     if let Some(every_ms) = case.sampling {
         spec = spec.sampling(every_ms);
     }
@@ -209,7 +275,7 @@ fn sharded_metrics_survive_plan_cache_thrash() {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    #![proptest_config(ProptestConfig::with_cases(96))]
 
     #[test]
     fn sharded_runs_equal_serial_runs(case in case()) {
@@ -217,7 +283,7 @@ proptest! {
         let hcam = Hcam::new(&space, case.m).unwrap();
         let dir = GridDirectory::build(space.clone(), case.m, |b| hcam.disk_of(b.as_slice()));
         let engine = MultiUserEngine::new(&dir);
-        let params = DiskParams::default();
+        let params = case.disk.params();
 
         let mut rng = StdRng::seed_from_u64(case.query_seed);
         let queries: Vec<BucketRegion> = (0..case.gaps.len())
