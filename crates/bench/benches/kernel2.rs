@@ -9,7 +9,9 @@
 //! path is ≥ 2× over v1 on this workload.
 //!
 //! Construction: serial vs parallel per-method kernel build of an
-//! [`EvalContext`], which dominates small sweeps.
+//! [`EvalContext`], which dominates small sweeps; and the table build
+//! alone on the 4-D 16^4 grid at M = 64, at the narrow lane `build`
+//! picks (1 024 buckets per disk) and at the forced wide lane.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use decluster_grid::{BucketRegion, GridSpace};
@@ -167,5 +169,38 @@ fn bench_build(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(kernel2, bench_scoring, bench_build);
+fn bench_build_4d(c: &mut Criterion) {
+    // 65 536 buckets: the paper's cache-exceeding configuration, whose
+    // tables (8 MiB narrow, 16 MiB wide per method) leave the cache.
+    let space = GridSpace::new_cube(4, 16).expect("grid");
+    let registry = MethodRegistry::default();
+    let maps: Vec<AllocationMap> = registry
+        .paper_methods(&space, 64)
+        .iter()
+        .map(|m| AllocationMap::from_method(&space, m.as_ref()).expect("materializes"))
+        .collect();
+
+    let mut group = c.benchmark_group("kernel2_build_16x16x16x16_m64");
+    group.sample_size(20);
+    group.throughput(Throughput::Elements(
+        maps.len() as u64 * space.num_buckets() * 64,
+    ));
+    group.bench_function("build", |b| {
+        b.iter(|| {
+            for map in &maps {
+                black_box(DiskCounts::build(map).expect("kernel"));
+            }
+        })
+    });
+    group.bench_function("build_wide", |b| {
+        b.iter(|| {
+            for map in &maps {
+                black_box(DiskCounts::build_wide(map).expect("kernel"));
+            }
+        })
+    });
+    group.finish();
+}
+
+criterion_group!(kernel2, bench_scoring, bench_build, bench_build_4d);
 criterion_main!(kernel2);

@@ -39,7 +39,12 @@
 //! different grid or table — misses and the caller recompiles, it never
 //! misreads. The strides are stored and revalidated against
 //! recomputation from the dims, and the lane tag keeps the image
-//! width-aware, so a loaded kernel is bit-identical to a rebuilt one.
+//! width-aware, so a loaded kernel answers every query identically to a
+//! rebuilt one. Its lane width may differ: the build picks `u16` lanes
+//! whenever the heaviest disk holds at most `u16::MAX` buckets, but
+//! builds before that rule keyed the width on the grid's bucket total,
+//! so their images of grids such as 16^4 hold `u32` tables. Those still
+//! load and score as written.
 //! AllocationMap images remain at version 2 and load unchanged.
 
 use crate::prefix::CountLane;
@@ -762,6 +767,45 @@ mod tests {
                 .lookup("HCAM", &map)
                 .unwrap();
             assert_eq!(warm.lane_bits(), kernel.lane_bits());
+        }
+    }
+
+    #[test]
+    fn wide_images_of_narrow_kernels_still_load() {
+        // 16^4 at M = 64: 65_536 buckets, 1_024 per disk. Images written
+        // before the per-disk lane rule hold this table at u32.
+        let space = GridSpace::new_cube(4, 16).unwrap();
+        let map = AllocationMap::from_method(&space, &Hcam::new(&space, 64).unwrap()).unwrap();
+        let narrow = map.disk_counts().unwrap();
+        let wide = DiskCounts::build_wide(&map).unwrap();
+        assert_eq!(narrow.lane_bits(), 16);
+        let image = |kernel: &DiskCounts| {
+            let mut cache = KernelCache::new();
+            cache.insert("HCAM", &map, kernel);
+            cache.to_bytes()
+        };
+        let (old_image, new_image) = (image(&wide), image(&narrow));
+        // The table dominates the image: the narrow one is half the bytes.
+        assert!(new_image.len() * 2 > old_image.len());
+        assert!(new_image.len() * 2 - old_image.len() < 1024);
+
+        let warm = KernelCache::from_bytes(&old_image)
+            .unwrap()
+            .lookup("HCAM", &map)
+            .expect("a wide image of the same allocation revalidates");
+        assert_eq!(warm.lane_bits(), 32);
+        let full = decluster_grid::BucketRegion::full(&space);
+        assert_eq!(warm.access_histogram(&full), narrow.access_histogram(&full));
+        let mut scratch = crate::Scratch::new();
+        for i in 0..200u32 {
+            let lo: Vec<u32> = (0..4).map(|d| (i * (3 + 2 * d) + d) % 16).collect();
+            let hi: Vec<u32> = lo.iter().map(|&l| (l + i % 7).min(15)).collect();
+            let r = decluster_grid::BucketRegion::new(&space, lo.into(), hi.into()).unwrap();
+            assert_eq!(warm.access_histogram(&r), narrow.access_histogram(&r));
+            assert_eq!(
+                warm.response_time_with(&r, &mut scratch),
+                narrow.response_time_with(&r, &mut scratch)
+            );
         }
     }
 

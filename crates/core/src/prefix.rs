@@ -32,19 +32,21 @@ pub fn kernel_build_count() -> u64 {
 /// fixed allocation — this turns the dominant cost from the query area
 /// into the (tiny) corner count.
 ///
-/// Construction walks the grid once per dimension (`O(k · N · M)` time,
-/// `O(N · M)` space for `N` buckets), so the kernel pays off when an
-/// allocation is queried more than a handful of times.
+/// Construction streams the table once, one axis-0 slab at a time
+/// (`O(k · N · M)` adds, `O(N · M)` space for `N` buckets), so the kernel
+/// pays off when an allocation is queried more than a handful of times.
 ///
 /// # Kernel v2: count lanes, query plans, scratch buffers
 ///
 /// Three refinements on top of the v1 corner walk, all bit-identical to
 /// it (and to the naive walk — property-tested):
 ///
-/// * **Adaptive count width.** Counts are capped by the bucket total, so
-///   grids with at most `u16::MAX` buckets (every paper grid) store the
-///   table as `u16` lanes — half the bytes, half the memory traffic of
-///   the `u32` layout, which remains the fallback for larger grids.
+/// * **Adaptive count width.** Every count is a bucket count of one
+///   disk, capped by that disk's total, so allocations whose heaviest
+///   disk holds at most `u16::MAX` buckets (every paper allocation,
+///   16^4 at M = 64 included) store the table as `u16` lanes — half the
+///   bytes, half the memory traffic of the `u32` layout, which remains
+///   the fallback for heavier disks.
 /// * **Shape-compiled plans** ([`CornerPlan`]). The paper's sweeps score
 ///   thousands of *placements of the same query shape*. The `2^k` signed
 ///   corner row-offsets depend only on the shape (its per-dimension
@@ -67,9 +69,9 @@ pub struct DiskCounts {
 }
 
 /// The prefix-sum table at its adaptive lane width: `u16` when every
-/// count fits (bucket total ≤ `u16::MAX`), `u32` otherwise. Both paths
-/// run the same monomorphized build and scoring code and produce
-/// identical counts; only the bytes moved differ.
+/// count fits (heaviest disk's bucket count ≤ `u16::MAX`), `u32`
+/// otherwise. Both paths run the same monomorphized build and scoring
+/// code and produce identical counts; only the bytes moved differ.
 ///
 /// Crate-visible so `persist` can serialize the table at its native
 /// width (the v3 kernel image is lane-width-aware).
@@ -129,40 +131,54 @@ impl Lane for u32 {
     }
 }
 
-/// Indicator table + one blocked, division-free running-sum pass per
-/// axis: turns per-cell disk indicators into inclusive prefix sums over
-/// the box `[0, coord]`.
-///
-/// For axis `a`, cells sharing every coordinate before `a` form
-/// contiguous blocks of `dims[a] · strides[a]` rows; within a block the
-/// first `strides[a]` rows carry the axis's zero coordinate (nothing to
-/// add), and every later lane adds the lane one row-stride back. The v1
-/// pass re-derived the same structure per cell with a division and a
-/// modulo; the nested loop form needs neither.
+/// Builds the inclusive per-disk prefix-sum table of `map` in one
+/// streaming pass: see [`fuse_slab`].
 fn build_table<T: Lane>(
     map: &AllocationMap,
     lanes: usize,
     dims: &[u32],
     strides: &[usize],
 ) -> Vec<T> {
-    let total = map.table().len();
-    let mut table = vec![T::default(); total * lanes];
-    for (cell, &disk) in map.table().iter().enumerate() {
-        table[cell * lanes + disk as usize] = T::ONE;
-    }
-    for (axis, &d) in dims.iter().enumerate() {
-        let stride = strides[axis] * lanes;
-        let block = stride * d as usize;
-        let mut base = 0;
-        while base < table.len() {
-            for i in base + stride..base + block {
-                let prev = table[i - stride];
-                table[i] += prev;
+    let mut table = vec![T::default(); map.table().len() * lanes];
+    fuse_slab(&mut table, map.table(), dims, strides, lanes);
+    table
+}
+
+/// Turns the zeroed sub-table `t` — the cells spanned by `dims` (row
+/// strides `strides`, whose disks are `disks` in row-major order) — into
+/// inclusive prefix sums over the box `[0, coord]`, one axis-0 slab at a
+/// time.
+///
+/// Each slab (`strides[0]` rows) is finished recursively over the
+/// remaining axes while it is still in cache, then the previous,
+/// finished slab is added to it for axis 0. On the innermost axis a slab
+/// is one row: its disk's indicator lane is set and the previous row
+/// added. Every add is a whole-slice `zip` (no per-element indexing), so
+/// the loops vectorize, and the table is streamed through memory once
+/// instead of once per axis.
+///
+/// Every intermediate lane is a true bucket count of one disk, so plain
+/// `+=` never exceeds the disk's total; with overflow checks on, a lane
+/// too narrow for its counts panics here instead of wrapping.
+fn fuse_slab<T: Lane>(t: &mut [T], disks: &[u32], dims: &[u32], strides: &[usize], lanes: usize) {
+    let (&extent, inner) = dims.split_first().expect("a grid has at least one axis");
+    let rows = strides[0];
+    let slab = rows * lanes;
+    for j in 0..extent as usize {
+        let (done, rest) = t.split_at_mut(j * slab);
+        let cur = &mut rest[..slab];
+        let cells = &disks[j * rows..(j + 1) * rows];
+        if inner.is_empty() {
+            cur[cells[0] as usize] = T::ONE;
+        } else {
+            fuse_slab(cur, cells, inner, &strides[1..], lanes);
+        }
+        if j > 0 {
+            for (c, &p) in cur.iter_mut().zip(&done[(j - 1) * slab..]) {
+                *c += p;
             }
-            base += block;
         }
     }
-    table
 }
 
 /// Sums `corners` (sign, table row) into `acc`, one `i64` per disk lane.
@@ -181,7 +197,7 @@ fn accumulate_rows<T: Lane>(table: &[T], lanes: usize, corners: &[(i64, usize)],
 /// contribute zero and are skipped.
 ///
 /// Accumulation runs in *native lane width* with wrapping arithmetic:
-/// every final per-disk count is a bucket count `≤` the grid total,
+/// every final per-disk count is a bucket count `≤` its disk's total,
 /// which fits the lane type by construction, and modular add/sub is
 /// exact whenever the true result fits — intermediate partial sums may
 /// "wrap negative" freely. This removes the per-lane widening to `i64`
@@ -494,7 +510,8 @@ impl Default for PlanCache {
 
 impl DiskCounts {
     /// Builds the per-disk prefix-sum table for `map`, choosing the
-    /// narrow (`u16`) count lane whenever the bucket total fits.
+    /// narrow (`u16`) count lane whenever the heaviest disk's bucket
+    /// count fits.
     ///
     /// # Errors
     /// [`MethodError::UnsupportedGrid`] if the `buckets × disks` table
@@ -523,14 +540,16 @@ impl DiskCounts {
             method: "DiskCounts",
             reason: "buckets x disks table too large to materialize".into(),
         };
-        // The largest possible count is the bucket total, so the total
-        // itself must fit the widest lane; `2^k` corner enumeration
+        // Every table entry and every query count is a bucket count of
+        // one disk, so the heaviest disk's total bounds them all: the
+        // narrow lane suffices whenever that total fits it. The grid
+        // total must still fit the widest lane; `2^k` corner enumeration
         // additionally needs `k` to stay a sane bit-mask width.
         let total = usize::try_from(space.num_buckets()).map_err(|_| too_large())?;
         if space.num_buckets() > u64::from(u32::MAX) || space.dims().len() > 24 {
             return Err(too_large());
         }
-        let narrow = !force_wide && total <= usize::from(u16::MAX);
+        let narrow = !force_wide && map.load_stats().max <= u64::from(u16::MAX);
         let lane_bytes = if narrow { 2 } else { 4 };
         let cells = total.checked_mul(m as usize).ok_or_else(too_large)?;
         // Cap the table at ~1 GiB so a huge grid degrades to the naive
@@ -601,8 +620,9 @@ impl DiskCounts {
         self.m
     }
 
-    /// Bits per stored count: 16 on paper-sized grids, 32 on grids with
-    /// more than `u16::MAX` buckets (and under [`DiskCounts::build_wide`]).
+    /// Bits per stored count: 16 on every paper allocation, 32 when one
+    /// disk holds more than `u16::MAX` buckets (and under
+    /// [`DiskCounts::build_wide`]).
     pub fn lane_bits(&self) -> u32 {
         match self.table {
             CountLane::U16(_) => u16::BITS,
@@ -968,8 +988,10 @@ impl AllocationMap {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{DiskModulo, FieldwiseXor, RandomAlloc};
+    use crate::{DiskModulo, FieldwiseXor, Hcam, RandomAlloc};
     use decluster_grid::{BucketRegion, GridSpace, RangeQuery};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn kernel_for(
         space: &GridSpace,
@@ -1185,15 +1207,47 @@ mod tests {
         }
     }
 
+    /// A uniformly random region of `g`: per axis, two coordinates drawn
+    /// independently and sorted into `lo ≤ hi`.
+    fn random_region(g: &GridSpace, rng: &mut StdRng) -> BucketRegion {
+        let (lo, hi): (Vec<u32>, Vec<u32>) = g
+            .dims()
+            .iter()
+            .map(|&d| {
+                let (a, b) = (rng.gen_range(0..d), rng.gen_range(0..d));
+                (a.min(b), a.max(b))
+            })
+            .unzip();
+        BucketRegion::new(g, lo.into(), hi.into()).unwrap()
+    }
+
+    /// An `M`-disk allocation of `g` whose first `heavy` buckets (in
+    /// row-major order) sit on disk 0 and the rest cycle over disks
+    /// `1..M`.
+    fn heavy_disk_map(g: &GridSpace, m: u32, heavy: usize) -> AllocationMap {
+        let table = (0..g.num_buckets() as usize)
+            .map(|i| {
+                if i < heavy {
+                    0
+                } else {
+                    1 + (i as u32 % (m - 1))
+                }
+            })
+            .collect();
+        AllocationMap::from_table(g, m, table).unwrap()
+    }
+
     #[test]
     fn large_grids_pick_the_wide_lane_automatically() {
-        // 300x300 = 90_000 buckets > u16::MAX: counts need u32 lanes.
+        // 300x300 = 90_000 buckets, 65_536 of them on disk 0: that
+        // disk's counts exceed u16::MAX, so the table needs u32 lanes.
         let g = GridSpace::new_2d(300, 300).unwrap();
-        let dm = DiskModulo::new(&g, 3).unwrap();
-        let (map, dc) = kernel_for(&g, &dm);
+        let map = heavy_disk_map(&g, 3, 65_536);
+        let dc = map.disk_counts().unwrap();
         assert_eq!(dc.lane_bits(), 32);
         let full = BucketRegion::full(&g);
         assert_eq!(dc.response_time(&full), map.load_stats().max);
+        assert_eq!(dc.response_time(&full), 65_536);
         let r = BucketRegion::new(&g, [17, 250].into(), [140, 299].into()).unwrap();
         assert_eq!(dc.response_time(&r), map.response_time(&r));
         let mut scratch = Scratch::new();
@@ -1201,6 +1255,69 @@ mod tests {
             dc.response_time_with(&r, &mut scratch),
             map.response_time(&r)
         );
+    }
+
+    #[test]
+    fn large_balanced_grids_keep_the_narrow_lane() {
+        // 300x300 over 3 disks: 90_000 buckets in total, but 30_000 per
+        // disk, and every count is a count of one disk.
+        let g = GridSpace::new_2d(300, 300).unwrap();
+        let dm = DiskModulo::new(&g, 3).unwrap();
+        let (map, dc) = kernel_for(&g, &dm);
+        assert_eq!(dc.lane_bits(), 16);
+        let full = BucketRegion::full(&g);
+        assert_eq!(dc.response_time(&full), map.response_time(&full));
+        assert_eq!(dc.response_time(&full), 30_000);
+        let r = BucketRegion::new(&g, [17, 250].into(), [140, 299].into()).unwrap();
+        assert_eq!(dc.response_time(&r), map.response_time(&r));
+        let mut scratch = Scratch::new();
+        assert_eq!(
+            dc.response_time_with(&r, &mut scratch),
+            map.response_time(&r)
+        );
+    }
+
+    #[test]
+    fn lane_width_boundary_is_the_heaviest_disk() {
+        // 256x257 = 65_792 buckets over 2 disks; disk 0 holds exactly
+        // u16::MAX buckets, then one more.
+        let g = GridSpace::new_2d(256, 257).unwrap();
+        let mut rng = StdRng::seed_from_u64(7);
+        for (heavy, bits) in [(65_535, 16), (65_536, 32)] {
+            let map = heavy_disk_map(&g, 2, heavy);
+            let dc = DiskCounts::build(&map).unwrap();
+            let wide = DiskCounts::build_wide(&map).unwrap();
+            assert_eq!(dc.lane_bits(), bits, "{heavy} buckets on disk 0");
+            let full = BucketRegion::full(&g);
+            assert_eq!(dc.access_histogram(&full), wide.access_histogram(&full));
+            assert_eq!(dc.response_time(&full), heavy as u64);
+            let mut scratch = Scratch::new();
+            for _ in 0..100 {
+                let r = random_region(&g, &mut rng);
+                assert_eq!(dc.access_histogram(&r), wide.access_histogram(&r));
+                assert_eq!(
+                    dc.response_time_with(&r, &mut scratch),
+                    wide.response_time(&r)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn paper_4d_kernel_is_narrow_and_exact() {
+        // 16^4 = 65_536 buckets, one past u16::MAX, but M = 64 leaves
+        // 1_024 per disk: the narrow lane, at half the wide bytes.
+        let g = GridSpace::new_cube(4, 16).unwrap();
+        let (map, dc) = kernel_for(&g, &Hcam::new(&g, 64).unwrap());
+        let wide = DiskCounts::build_wide(&map).unwrap();
+        assert_eq!(dc.lane_bits(), 16);
+        assert_eq!(dc.table_bytes(), 8 << 20);
+        assert_eq!(wide.table_bytes(), 16 << 20);
+        let mut rng = StdRng::seed_from_u64(16);
+        for _ in 0..200 {
+            let r = random_region(&g, &mut rng);
+            assert_eq!(dc.access_histogram(&r), wide.access_histogram(&r));
+        }
     }
 
     #[test]
@@ -1350,6 +1467,63 @@ mod proptests {
                 )
             },
         )
+    }
+
+    /// Random grid (k in 1..=4, each axis 1..=6 wide) with an arbitrary
+    /// disk table over `M` in 1..=9 disks — more disks than buckets on
+    /// the smallest grids, so some disks stay empty.
+    fn grid_and_table() -> impl Strategy<Value = AllocationMap> {
+        (proptest::collection::vec(1u32..=6, 1..5), 1u32..=9).prop_flat_map(|(dims, m)| {
+            let g = GridSpace::new(dims).unwrap();
+            let n = g.num_buckets() as usize;
+            proptest::collection::vec(0..m, n..n + 1)
+                .prop_map(move |table| AllocationMap::from_table(&g, m, table).unwrap())
+        })
+    }
+
+    /// Every lane of `kernel`'s table, widened.
+    fn lanes_of(kernel: &DiskCounts) -> Vec<u64> {
+        match kernel.lane() {
+            CountLane::U16(t) => t.iter().map(|&v| u64::from(v)).collect(),
+            CountLane::U32(t) => t.iter().map(|&v| u64::from(v)).collect(),
+        }
+    }
+
+    /// The table by definition: lane `(c, d)` counts the buckets `b ≤ c`
+    /// (component-wise) on disk `d`, by brute force over all pairs.
+    fn brute_force_table(map: &AllocationMap) -> Vec<u64> {
+        let dims = map.space().dims();
+        let m = map.num_disks() as usize;
+        let coord = |mut i: usize| {
+            let mut c = vec![0u32; dims.len()];
+            for (slot, &d) in c.iter_mut().zip(dims).rev() {
+                *slot = (i % d as usize) as u32;
+                i /= d as usize;
+            }
+            c
+        };
+        let cells: Vec<Vec<u32>> = (0..map.table().len()).map(coord).collect();
+        let mut table = vec![0u64; cells.len() * m];
+        for (ci, c) in cells.iter().enumerate() {
+            for (b, &disk) in cells.iter().zip(map.table()) {
+                if b.iter().zip(c).all(|(x, y)| x <= y) {
+                    table[ci * m + disk as usize] += 1;
+                }
+            }
+        }
+        table
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        /// The slab-fused build writes exactly the prefix-sum table, at
+        /// both lane widths.
+        #[test]
+        fn build_matches_brute_force_table(map in grid_and_table()) {
+            let expect = brute_force_table(&map);
+            prop_assert_eq!(lanes_of(&DiskCounts::build(&map).unwrap()), expect.clone());
+            prop_assert_eq!(lanes_of(&DiskCounts::build_wide(&map).unwrap()), expect);
+        }
     }
 
     proptest! {
