@@ -1,7 +1,7 @@
 //! The event-driven serving core of the multi-user simulator.
 //!
-//! The closed-loop, open-loop, and degraded loops in [`crate::multiuser`]
-//! are all drivers over the same two primitives defined here:
+//! The closed loops in [`crate::multiuser`] and the fault-injected serve
+//! here are drivers over the same two primitives defined here:
 //!
 //! * [`EventHeap`] — an indexed binary min-heap over logical time with
 //!   deterministic tie-breaking: events at equal times pop in insertion
@@ -9,21 +9,25 @@
 //!   event order is a pure function of its inputs.
 //! * [`ServingEngine`] — the per-directory service core: the cached
 //!   [`PlanCounts`] kernel, the static load vector, and the FCFS fan-out
-//!   step that turns one query into per-disk batch service. The streaming
-//!   serve (reached through [`crate::ServeSpec`]) consumes an
-//!   arrival-event stream and emits completion events through the heap,
-//!   sampling
-//!   mid-run state (in-flight, queue depth, windowed p50/p95/p99) at
-//!   configurable logical-time intervals.
+//!   step that turns one query into per-disk batch service.
+//!
+//! The healthy open-loop serve — plain and shared-scan, reached through
+//! [`crate::ServeSpec::open`] — is the plan-once pipeline in
+//! `shard.rs`: per-disk walks over the arrival stream, then a
+//! heap-free rebuild of the event order that samples mid-run state
+//! (in-flight, queue depth, windowed p50/p95/p99) at configurable
+//! logical-time intervals.
 //!
 //! # Memory bounds
 //!
-//! A serving run's state is the event heap (one entry per in-flight
-//! query), a fixed-capacity ring of recently completed latencies, and the
-//! flat latency vector — never per-client state. A million-client
-//! open-loop run therefore peaks at `O(in-flight + clients × 8 bytes)`,
-//! and the warmed loop performs zero heap allocations per event
-//! (`tests/alloc_counting.rs` proves it with a counting allocator).
+//! A serving run's state is a few flat per-arrival vectors (completion
+//! times, pop order, latencies), the event heap of the fault and
+//! shared-scan paths (one entry per in-flight query), and a
+//! fixed-capacity ring of recently completed latencies — never
+//! per-client state. A million-client open-loop run therefore peaks at
+//! `O(clients × 20 bytes)`, and the warmed loops perform zero heap
+//! allocations per event (`tests/alloc_counting.rs` proves it with a
+//! counting allocator).
 //!
 //! # Sharded arrival streams
 //!
@@ -467,8 +471,9 @@ pub struct LoopScratch {
     pub(crate) targets: Vec<u32>,
     pub(crate) batch: Vec<(u64, f64)>,
     pub(crate) shared: decluster_methods::SharedScan,
-    /// Buffers for sharded parallel runs (see [`crate::shard`]); empty
-    /// and untouched in serial runs.
+    /// Buffers of the open-loop pipeline (`shard.rs`), which serves
+    /// every healthy open-loop run; untouched by the closed and
+    /// fault-injected loops.
     pub(crate) shard: crate::shard::ShardScratch,
 }
 
@@ -630,149 +635,6 @@ impl ServingEngine {
         completion
     }
 
-    /// Streaming open-loop serve: one request per entry of `arrivals_ms`
-    /// (non-decreasing logical times), each replaying the next query of
-    /// `queries` round-robin. Arrival events interleave with completion
-    /// events through the heap (completions at a tied time process
-    /// first), mid-run state is sampled every
-    /// [`ServeConfig::sample_every_ms`], and the aggregate report carries
-    /// exact p50/p95/p99 over all latencies.
-    ///
-    /// The per-request service math is identical to the open loop's, so
-    /// for `arrivals_ms.len() == queries.len()` the aggregate report is
-    /// bit-identical to [`crate::MultiUserEngine::open_loop_obs`] on the
-    /// same inputs. Reach it through [`crate::ServeSpec::open`].
-    ///
-    /// # Panics
-    /// Panics if `queries` is empty or `arrivals_ms` is not
-    /// non-decreasing.
-    pub(crate) fn serve_core(
-        &self,
-        params: &DiskParams,
-        queries: &[BucketRegion],
-        arrivals_ms: &[f64],
-        cfg: &ServeConfig,
-        obs: &Obs,
-        ls: &mut LoopScratch,
-    ) -> ServeReport {
-        assert!(!queries.is_empty(), "serve needs at least one query shape");
-        assert!(
-            arrivals_ms.windows(2).all(|w| w[0] <= w[1]),
-            "arrival times must be non-decreasing"
-        );
-        let record = obs.enabled();
-        let m = self.loads.len();
-        let meters = record.then(|| LoopMeters::new(obs, "serve", m));
-        let n = arrivals_ms.len();
-        ls.begin(m, n);
-        ls.ring.reset(cfg.window);
-        ls.sorted.clear();
-        let sample_every = if cfg.sample_every_ms > 0.0 {
-            cfg.sample_every_ms
-        } else {
-            f64::INFINITY
-        };
-        let mut next_sample = sample_every;
-        let mut makespan: f64 = 0.0;
-        let mut batches = 0u64;
-        let mut queued_batches = 0u64;
-        let mut pages = 0u64;
-        let mut events = 0u64;
-        let mut completed = 0u64;
-        let mut next_arrival = 0usize;
-
-        while next_arrival < n || !ls.events.is_empty() {
-            let arrival_t = if next_arrival < n {
-                arrivals_ms[next_arrival]
-            } else {
-                f64::INFINITY
-            };
-            let take_completion = ls.events.peek_time().is_some_and(|t| t <= arrival_t);
-            let event_t = if take_completion {
-                ls.events.peek_time().expect("non-empty heap")
-            } else {
-                arrival_t
-            };
-            // Samples fire strictly before any event at or past their
-            // boundary, so each snapshot reflects the state just before
-            // its logical time.
-            while next_sample <= event_t {
-                let tail_ms = {
-                    ls.sorted.clear();
-                    ls.sorted.extend_from_slice(ls.ring.as_slice());
-                    Quantiles::of_unsorted(&mut ls.sorted)
-                };
-                ls.samples.push(ServeSample {
-                    at_ms: next_sample,
-                    in_flight: ls.events.len(),
-                    busy_disks: ls.disk_free_at.iter().filter(|&&f| f > next_sample).count(),
-                    completed,
-                    tail_ms,
-                });
-                next_sample += sample_every;
-            }
-            if take_completion {
-                let ev = ls.events.pop().expect("non-empty heap");
-                ls.ring.push(ev.payload);
-                completed += 1;
-            } else {
-                let issue_at = arrival_t;
-                let region = &queries[next_arrival % queries.len()];
-                next_arrival += 1;
-                pages += self.counts.counts_into_cached(
-                    region,
-                    &mut ls.plans,
-                    &mut ls.scratch,
-                    &mut ls.hist,
-                );
-                let completion = self.fan_out(
-                    params,
-                    issue_at,
-                    &ls.hist,
-                    &mut ls.disk_free_at,
-                    &mut ls.disk_busy_ms,
-                    record,
-                    &mut batches,
-                    &mut queued_batches,
-                );
-                ls.latencies.push(completion - issue_at);
-                makespan = makespan.max(completion);
-                ls.events.push(completion, completion - issue_at);
-            }
-            events += 1;
-        }
-
-        // Drained unconditionally so stats from an obs-disabled run can
-        // never leak into a later metered run sharing this scratch.
-        let (shape_hits, shape_misses) = ls.plans.drain_stats();
-        if let Some(meters) = &meters {
-            meters.record(n, batches, queued_batches, &ls.disk_busy_ms, &ls.latencies);
-            obs.gauge_max("serve.peak_in_flight", ls.events.peak_len() as u64);
-            obs.counter_add("serve.events", events);
-            obs.counter_add("serve.pages", pages);
-            obs.counter_add("serve.samples", ls.samples.len() as u64);
-            obs.counter_add("kernel.shape_cache_hits", shape_hits);
-            obs.counter_add("kernel.shape_cache_misses", shape_misses);
-        }
-        let report = assemble_report(n, 0, makespan, m, &ls.disk_busy_ms, &mut ls.latencies);
-        if obs.trace_enabled() {
-            obs.emit(
-                TraceEvent::new("serve_done")
-                    .with("requests", n)
-                    .with("events", events)
-                    .with("peak_in_flight", ls.events.peak_len())
-                    .with("makespan_ms", report.makespan_ms),
-            );
-        }
-        ServeReport {
-            report,
-            events,
-            peak_in_flight: ls.events.peak_len(),
-            pages,
-            samples: ls.samples.len(),
-        }
-    }
-
     /// Streaming serve under a mid-run fault schedule with r-way chained
     /// replication: [`FaultSchedule`] boundaries become heap events
     /// (fail-stop, recovery, gray-slow), each batch reads from the copy
@@ -800,9 +662,9 @@ impl ServingEngine {
     /// differs from the engine's.
     ///
     /// # Panics
-    /// As the plain streaming serve; also if `replicas >= M` (CLI and
-    /// constructors validate upstream). Reach it through
-    /// [`crate::ServeSpec::faults`].
+    /// If `replicas >= M`. Reach it through [`crate::ServeSpec::faults`],
+    /// which rejects that, an empty `queries`, and unsorted or NaN
+    /// arrival times.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn serve_degraded_core(
         &self,
@@ -816,11 +678,6 @@ impl ServingEngine {
         obs: &Obs,
         ls: &mut LoopScratch,
     ) -> Result<DegradedServeReport> {
-        assert!(!queries.is_empty(), "serve needs at least one query shape");
-        assert!(
-            arrivals_ms.windows(2).all(|w| w[0] <= w[1]),
-            "arrival times must be non-decreasing"
-        );
         let m = self.loads.len();
         if schedule.num_disks() as usize != m {
             return Err(SimError::ScheduleMismatch {
@@ -1123,344 +980,6 @@ impl ServingEngine {
             },
         );
     }
-
-    /// Streaming shared-scan serve: arrivals are grouped into batch
-    /// windows of `cfg.batch_window_ms` of logical time. The first
-    /// arrival of a window opens it and schedules a [`ServeEventKind::Flush`]
-    /// one window later; every arrival before the flush joins the window.
-    /// At flush time the members' buckets are deduplicated into one
-    /// per-disk distinct-page schedule (a [`decluster_methods::SharedScan`]
-    /// marking linear bucket ids over `dir`'s placement runs), issued once
-    /// across the `1 + r` replica copies per `cfg.policy`, and the
-    /// completion fans back to every member — each latency measured from
-    /// its own arrival, so queueing inside the window shows up in the
-    /// tail.
-    ///
-    /// With `batch_window_ms == 0` the run delegates to the unshared
-    /// loop and is bit-identical to it. The shared path is healthy-mode
-    /// only; `ServeSpec` rejects sharing combined with a fault schedule.
-    ///
-    /// # Panics
-    /// As the unshared loop; also if `dir`'s disk count differs from the
-    /// engine's, if `cfg.replicas >= M`, or if the window is negative or
-    /// non-finite (all validated upstream by `ServeSpec`).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn serve_shared_core(
-        &self,
-        dir: &GridDirectory,
-        params: &DiskParams,
-        queries: &[BucketRegion],
-        arrivals_ms: &[f64],
-        cfg: &SharedServeConfig,
-        obs: &Obs,
-        ls: &mut LoopScratch,
-    ) -> SharedServeReport {
-        if cfg.batch_window_ms == 0.0 {
-            let serve = self.serve_core(params, queries, arrivals_ms, &cfg.serve, obs, ls);
-            return SharedServeReport {
-                serve,
-                windows: 0,
-                merged_queries: 0,
-                pages_saved: 0,
-            };
-        }
-        assert!(
-            cfg.batch_window_ms.is_finite() && cfg.batch_window_ms > 0.0,
-            "batch window must be finite and non-negative"
-        );
-        assert!(!queries.is_empty(), "serve needs at least one query shape");
-        assert!(
-            arrivals_ms.windows(2).all(|w| w[0] <= w[1]),
-            "arrival times must be non-decreasing"
-        );
-        let m = self.loads.len();
-        assert_eq!(
-            dir.num_disks() as usize,
-            m,
-            "directory disk count differs from the engine's"
-        );
-        assert!(
-            (cfg.replicas as usize) < m,
-            "replica count {} >= M = {m}",
-            cfg.replicas
-        );
-        let record = obs.enabled();
-        let meters = record.then(|| LoopMeters::new(obs, "serve", m));
-        let n = arrivals_ms.len();
-        ls.begin(m, n);
-        ls.begin_shared(m);
-        ls.ring.reset(cfg.serve.window);
-        ls.sorted.clear();
-        let w = cfg.batch_window_ms;
-        let sample_every = if cfg.serve.sample_every_ms > 0.0 {
-            cfg.serve.sample_every_ms
-        } else {
-            f64::INFINITY
-        };
-        let mut next_sample = sample_every;
-        let mut makespan: f64 = 0.0;
-        let mut batches = 0u64;
-        let mut queued_batches = 0u64;
-        let mut pages = 0u64;
-        let mut pages_saved = 0u64;
-        let mut windows = 0u64;
-        let mut merged_queries = 0u64;
-        let mut events = 0u64;
-        let mut completed = 0u64;
-        let mut in_flight = 0usize;
-        let mut peak_in_flight = 0usize;
-        let mut next_arrival = 0usize;
-
-        while next_arrival < n || !ls.fault_events.is_empty() {
-            let arrival_t = if next_arrival < n {
-                arrivals_ms[next_arrival]
-            } else {
-                f64::INFINITY
-            };
-            let take_event = ls.fault_events.peek_time().is_some_and(|t| t <= arrival_t);
-            let event_t = if take_event {
-                ls.fault_events.peek_time().expect("non-empty heap")
-            } else {
-                arrival_t
-            };
-            while next_sample <= event_t {
-                let tail_ms = {
-                    ls.sorted.clear();
-                    ls.sorted.extend_from_slice(ls.ring.as_slice());
-                    Quantiles::of_unsorted(&mut ls.sorted)
-                };
-                ls.samples.push(ServeSample {
-                    at_ms: next_sample,
-                    in_flight,
-                    busy_disks: ls.disk_free_at.iter().filter(|&&f| f > next_sample).count(),
-                    completed,
-                    tail_ms,
-                });
-                next_sample += sample_every;
-            }
-            if take_event {
-                let ev = ls.fault_events.pop().expect("non-empty heap");
-                match ev.payload {
-                    ServeEventKind::Completion { latency_ms } => {
-                        ls.ring.push(latency_ms);
-                        completed += 1;
-                        in_flight -= 1;
-                    }
-                    ServeEventKind::Flush => {
-                        let members = ls.batch.len();
-                        debug_assert!(members > 0, "a flush always closes a non-empty window");
-                        windows += 1;
-                        if members > 1 {
-                            merged_queries += members as u64;
-                        }
-                        // Deduplicate the members' pages into per-disk
-                        // counts, attributing saved pages.
-                        let mut own = 0u64;
-                        {
-                            let (shared, batch) = (&mut ls.shared, &ls.batch);
-                            shared.begin(m);
-                            for &(qi, _) in batch {
-                                let att = shared.absorb(dir, &queries[qi as usize % queries.len()]);
-                                own += att.own_pages;
-                            }
-                        }
-                        let fresh = ls.shared.total_pages();
-                        pages += fresh;
-                        pages_saved += own - fresh;
-                        let route_key = ls.batch.first().map_or(0, |&(q, _)| q);
-                        let completion = self.fan_out_merged(
-                            params,
-                            ev.time,
-                            &ls.shared,
-                            cfg.replicas,
-                            cfg.policy,
-                            route_key,
-                            &mut ls.disk_free_at,
-                            &mut ls.disk_busy_ms,
-                            record,
-                            &mut batches,
-                            &mut queued_batches,
-                        );
-                        makespan = makespan.max(completion);
-                        // Fan the shared completion back to every member.
-                        for i in 0..ls.batch.len() {
-                            let (_, arrived) = ls.batch[i];
-                            let latency = completion - arrived;
-                            ls.latencies.push(latency);
-                            ls.fault_events.push(
-                                completion,
-                                ServeEventKind::Completion {
-                                    latency_ms: latency,
-                                },
-                            );
-                        }
-                        ls.batch.clear();
-                    }
-                    ServeEventKind::Transition { .. } | ServeEventKind::Retry { .. } => {
-                        unreachable!("the shared-scan loop schedules no fault events")
-                    }
-                }
-            } else {
-                // An arrival joins the open window, or opens a new one
-                // (scheduling its flush one window later).
-                if ls.batch.is_empty() {
-                    ls.fault_events.push(arrival_t + w, ServeEventKind::Flush);
-                }
-                ls.batch.push((next_arrival as u64, arrival_t));
-                in_flight += 1;
-                peak_in_flight = peak_in_flight.max(in_flight);
-                next_arrival += 1;
-            }
-            events += 1;
-        }
-
-        if let Some(meters) = &meters {
-            meters.record(n, batches, queued_batches, &ls.disk_busy_ms, &ls.latencies);
-            obs.gauge_max("serve.peak_in_flight", peak_in_flight as u64);
-            obs.counter_add("serve.events", events);
-            obs.counter_add("serve.pages", pages);
-            obs.counter_add("serve.samples", ls.samples.len() as u64);
-            obs.counter_add("share.windows", windows);
-            obs.counter_add("share.merged_queries", merged_queries);
-            obs.counter_add("share.pages_saved", pages_saved);
-        }
-        let report = assemble_report(n, 0, makespan, m, &ls.disk_busy_ms, &mut ls.latencies);
-        if obs.trace_enabled() {
-            obs.emit(
-                TraceEvent::new("shared_serve_done")
-                    .with("requests", n)
-                    .with("events", events)
-                    .with("windows", windows)
-                    .with("merged_queries", merged_queries)
-                    .with("pages_saved", pages_saved)
-                    .with("makespan_ms", report.makespan_ms),
-            );
-        }
-        SharedServeReport {
-            serve: ServeReport {
-                report,
-                events,
-                peak_in_flight,
-                pages,
-                samples: ls.samples.len(),
-            },
-            windows,
-            merged_queries,
-            pages_saved,
-        }
-    }
-
-    /// Issues one window's merged schedule across the replica chain: for
-    /// each disk with merged pages, [`ReplicaPolicy::Spread`] splits the
-    /// batch across all `1 + r` copies (page-granular balancing) while
-    /// the whole-batch policies route it to one copy — primary for
-    /// `PrimaryOnly`/`FailoverOnly` (the shared path is healthy-mode, so
-    /// the primary is always live), the shortest queue for
-    /// `NearestFreeQueue`, and a `route_key`-keyed rotation for
-    /// `RoundRobin`. Returns the window's completion time.
-    #[allow(clippy::too_many_arguments)]
-    fn fan_out_merged(
-        &self,
-        params: &DiskParams,
-        issue_at: f64,
-        merged: &decluster_methods::SharedScan,
-        replicas: u32,
-        policy: ReplicaPolicy,
-        route_key: u64,
-        disk_free_at: &mut [f64],
-        disk_busy_ms: &mut [f64],
-        record: bool,
-        batches: &mut u64,
-        queued_batches: &mut u64,
-    ) -> f64 {
-        // One copy's FCFS batch service, shared by every policy arm.
-        #[allow(clippy::too_many_arguments)]
-        fn serve_on(
-            params: &DiskParams,
-            loads: &[u64],
-            s: usize,
-            count: u64,
-            issue_at: f64,
-            disk_free_at: &mut [f64],
-            disk_busy_ms: &mut [f64],
-            completion: &mut f64,
-            record: bool,
-            batches: &mut u64,
-            queued_batches: &mut u64,
-        ) {
-            let start = issue_at.max(disk_free_at[s]);
-            let service = params.batch_ms_counts(count, loads[s]);
-            disk_free_at[s] = start + service;
-            disk_busy_ms[s] += service;
-            *completion = completion.max(start + service);
-            if record {
-                *batches += 1;
-                if start > issue_at {
-                    *queued_batches += 1;
-                }
-            }
-        }
-        let m = self.loads.len();
-        let copies = u64::from(replicas) + 1;
-        let mut completion = issue_at;
-        for d in 0..m {
-            let count = merged.disk_count(d);
-            if count == 0 {
-                continue;
-            }
-            macro_rules! serve {
-                ($s:expr, $count:expr) => {
-                    serve_on(
-                        params,
-                        &self.loads,
-                        $s,
-                        $count,
-                        issue_at,
-                        disk_free_at,
-                        disk_busy_ms,
-                        &mut completion,
-                        record,
-                        batches,
-                        queued_batches,
-                    )
-                };
-            }
-            if replicas == 0 {
-                serve!(d, count);
-                continue;
-            }
-            match policy {
-                ReplicaPolicy::Spread => {
-                    for j in 0..=replicas {
-                        let share = count / copies + u64::from(u64::from(j) < count % copies);
-                        if share == 0 {
-                            continue;
-                        }
-                        serve!((d + j as usize) % m, share);
-                    }
-                }
-                ReplicaPolicy::PrimaryOnly | ReplicaPolicy::FailoverOnly => {
-                    serve!(d, count);
-                }
-                ReplicaPolicy::NearestFreeQueue => {
-                    // First-minimal scan: ties go to the earliest chain
-                    // position, matching `select_copy`'s tie-breaking.
-                    let mut best = d;
-                    for j in 1..=replicas as usize {
-                        let s = (d + j) % m;
-                        if disk_free_at[s] < disk_free_at[best] {
-                            best = s;
-                        }
-                    }
-                    serve!(best, count);
-                }
-                ReplicaPolicy::RoundRobin => {
-                    serve!((d + (route_key % copies) as usize) % m, count);
-                }
-            }
-        }
-        completion
-    }
 }
 
 /// Mutable counter block of one degraded serve run, threaded through
@@ -1715,7 +1234,7 @@ mod tests {
     }
 
     #[test]
-    fn serve_counts_every_event_and_drains_the_heap() {
+    fn serve_counts_every_event() {
         let (_space, engine, queries) = serving_setup();
         let params = DiskParams::default();
         let mut rng = StdRng::seed_from_u64(3);
@@ -1726,12 +1245,13 @@ mod tests {
             &queries,
             &arrivals,
             &ServeConfig::default(),
+            1,
+            1,
             &Obs::disabled(),
             &mut ls,
         );
         assert_eq!(r.report.queries, 200);
         assert_eq!(r.events, 400, "one arrival + one completion per request");
-        assert!(ls.events.is_empty(), "heap drains by the end of the run");
         assert!(r.peak_in_flight >= 1);
         assert!(r.pages > 0);
         assert_eq!(r.samples, 0, "sampling disabled by default");
@@ -1756,6 +1276,8 @@ mod tests {
             &queries,
             &arrivals,
             &cfg,
+            1,
+            1,
             &Obs::disabled(),
             &mut ls,
         );
@@ -1783,6 +1305,8 @@ mod tests {
             &queries,
             &arrivals,
             &ServeConfig::default(),
+            1,
+            1,
             &obs,
             &mut ls,
         );
@@ -1794,6 +1318,8 @@ mod tests {
                 sample_every_ms: 100.0,
                 window: 32,
             },
+            1,
+            1,
             &obs,
             &mut ls,
         );
@@ -1821,6 +1347,8 @@ mod tests {
             &queries,
             &arrivals,
             &ServeConfig::default(),
+            1,
+            1,
             &Obs::disabled(),
             &mut ls,
         );
@@ -1832,8 +1360,10 @@ mod tests {
         DegradedServeConfig::default()
     }
 
+    /// Two independent implementations of the same healthy FCFS model:
+    /// the fault core's event heap and the open-loop pipeline at S = 1.
     #[test]
-    fn fault_free_degraded_serve_matches_serve_core_bitwise() {
+    fn fault_free_degraded_serve_matches_the_pipeline_bitwise() {
         let (_space, engine, queries) = serving_setup();
         let params = DiskParams::default();
         let mut rng = StdRng::seed_from_u64(3);
@@ -1845,6 +1375,8 @@ mod tests {
             &queries,
             &arrivals,
             &ServeConfig::default(),
+            1,
+            1,
             &obs,
             &mut ls,
         );

@@ -1064,7 +1064,7 @@ impl Experiment {
                 };
                 // Cells already fan out across the executor's workers, so
                 // each sharded run walks its shards inline (threads = 1).
-                let rep = engines[mi].1.serving().serve_core_sharded(
+                let rep = engines[mi].1.serving().serve_core(
                     params,
                     &regions,
                     &arrivals[ri],

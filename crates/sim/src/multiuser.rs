@@ -11,13 +11,13 @@
 //!
 //! # The event core
 //!
-//! Every loop here is a driver over the serving core in
+//! Every closed loop here is a driver over the serving core in
 //! [`crate::events`]: client readiness and query completions flow
 //! through the deterministic [`crate::events::EventHeap`], and the
 //! per-query FCFS fan-out is [`ServingEngine::fan_out`] — the identical
-//! float sequence the loops always computed, now shared. The streaming
-//! serve (reached through [`crate::ServeSpec::open`]) generalizes the
-//! open loop to unbounded arrival streams with mid-run sampling.
+//! float sequence the loops always computed, now shared. Open arrival
+//! streams — including the [`load_sweep`] curves — run on the streaming
+//! serve reached through [`crate::ServeSpec::open`].
 //!
 //! # The counts fast path
 //!
@@ -150,9 +150,10 @@ pub(crate) fn assemble_report(
 
 /// A directory's multi-user simulation engine: a [`ServingEngine`] (the
 /// cached [`PlanCounts`] kernel plus the static load vector) with the
-/// whole-run loop drivers on top. Build once per directory (the kernel
-/// build walks the grid once), then run any number of closed-loop,
-/// open-loop, or degraded workloads against it — each query costs
+/// closed-loop drivers on top. Build once per directory (the kernel
+/// build walks the grid once), then run any number of closed-loop or
+/// degraded closed-loop workloads against it, or hand it to
+/// [`crate::ServeSpec`] for open arrival streams — each query costs
 /// `O(M · 2^k)` kernel lookups and zero heap allocations.
 ///
 /// The engine is immutable and `Sync`: parallel sweeps share one engine
@@ -287,98 +288,6 @@ impl MultiUserEngine {
                 TraceEvent::new("closed_loop_done")
                     .with("queries", queries.len())
                     .with("clients", clients)
-                    .with("makespan_ms", report.makespan_ms)
-                    .with("utilization", report.utilization),
-            );
-        }
-        report
-    }
-
-    /// Open-loop run against this engine: query `i` is issued at
-    /// `arrivals_ms[i]` regardless of completions (a load generator, not
-    /// a closed set of clients). Disks serve batches FCFS in arrival
-    /// order; use [`poisson_arrivals`] to generate arrival times at a
-    /// target rate. Records the `openloop.*` loop metrics and an
-    /// `open_loop_done` trace event when observability is enabled. Reach
-    /// it through [`crate::ServeSpec::open`].
-    ///
-    /// # Panics
-    /// Panics if `arrivals_ms` is shorter than `queries` or not
-    /// non-decreasing.
-    pub fn open_loop_obs(
-        &self,
-        params: &DiskParams,
-        queries: &[BucketRegion],
-        arrivals_ms: &[f64],
-        obs: &Obs,
-        ls: &mut LoopScratch,
-    ) -> MultiUserReport {
-        assert!(
-            arrivals_ms.len() >= queries.len(),
-            "need one arrival time per query"
-        );
-        assert!(
-            arrivals_ms.windows(2).all(|w| w[0] <= w[1]),
-            "arrival times must be non-decreasing"
-        );
-        let record = obs.enabled();
-        let meters = record.then(|| LoopMeters::new(obs, "openloop", self.core.num_disks()));
-        let m = self.core.num_disks();
-        ls.begin(m, queries.len());
-        let mut makespan: f64 = 0.0;
-        let mut batches = 0u64;
-        let mut queued_batches = 0u64;
-
-        for (region, &issue_at) in queries.iter().zip(arrivals_ms) {
-            // Retire completion events that precede this arrival, so the
-            // heap tracks the in-flight set (arrivals never wait on it —
-            // the open loop has unbounded concurrency).
-            while ls.events.peek_time().is_some_and(|t| t <= issue_at) {
-                ls.events.pop();
-            }
-            self.core
-                .counts_into(region, &mut ls.plans, &mut ls.scratch, &mut ls.hist);
-            let completion = self.core.fan_out(
-                params,
-                issue_at,
-                &ls.hist,
-                &mut ls.disk_free_at,
-                &mut ls.disk_busy_ms,
-                record,
-                &mut batches,
-                &mut queued_batches,
-            );
-            ls.latencies.push(completion - issue_at);
-            makespan = makespan.max(completion);
-            ls.events.push(completion, completion - issue_at);
-        }
-        ls.events.clear();
-
-        let (shape_hits, shape_misses) = ls.plans.drain_stats();
-        if let Some(meters) = &meters {
-            meters.record(
-                queries.len(),
-                batches,
-                queued_batches,
-                &ls.disk_busy_ms,
-                &ls.latencies,
-            );
-            obs.counter_add("kernel.shape_cache_hits", shape_hits);
-            obs.counter_add("kernel.shape_cache_misses", shape_misses);
-        }
-        // Open loop: unbounded concurrency, reported as 0 clients.
-        let report = assemble_report(
-            queries.len(),
-            0,
-            makespan,
-            m,
-            &ls.disk_busy_ms,
-            &mut ls.latencies,
-        );
-        if obs.trace_enabled() {
-            obs.emit(
-                TraceEvent::new("open_loop_done")
-                    .with("queries", queries.len())
                     .with("makespan_ms", report.makespan_ms)
                     .with("utilization", report.utilization),
             );
@@ -680,10 +589,14 @@ pub fn load_sweep(
 }
 
 /// [`load_sweep`] fanned over the deterministic executor: every
-/// `(rate, method)` cell runs as an independent point on up to `threads`
-/// worker threads, each worker carrying its own [`LoopScratch`]. Engines
-/// and arrival draws are built before the fan-out, so the result is
-/// bit-identical for any thread count.
+/// `(rate, method)` cell is one [`crate::ServeSpec::open`] run (one
+/// shard, no sampling) on up to `threads` worker threads, each worker
+/// carrying its own [`LoopScratch`]. Engines and arrival draws are built
+/// before the fan-out, so the result is bit-identical for any thread
+/// count.
+///
+/// # Panics
+/// If `queries` is empty or a rate is not finite and positive.
 pub fn load_sweep_with_threads(
     dirs: &[(&str, &GridDirectory)],
     params: &DiskParams,
@@ -712,8 +625,17 @@ pub fn load_sweep_with_threads(
         &obs,
         LoopScratch::new,
         |i, ls| {
-            let report =
-                engines[i % nm].open_loop_obs(params, queries, &arrivals[i / nm], &obs, ls);
+            let report = crate::ServeSpec::open(rates_qps[i / nm])
+                .run_with_arrivals(
+                    &engines[i % nm],
+                    params,
+                    queries,
+                    &arrivals[i / nm],
+                    &obs,
+                    ls,
+                )
+                .expect("a load sweep needs queries and positive rates")
+                .report;
             (report.latency.mean, report.utilization, report.tail)
         },
     );
@@ -788,13 +710,17 @@ mod tests {
         queries: &[BucketRegion],
         arrivals_ms: &[f64],
     ) -> MultiUserReport {
-        MultiUserEngine::new(dir).open_loop_obs(
-            params,
-            queries,
-            arrivals_ms,
-            &Obs::disabled(),
-            &mut LoopScratch::new(),
-        )
+        crate::ServeSpec::open(1.0)
+            .run_with_arrivals(
+                &MultiUserEngine::new(dir),
+                params,
+                queries,
+                arrivals_ms,
+                &Obs::disabled(),
+                &mut LoopScratch::new(),
+            )
+            .unwrap()
+            .report
     }
 
     fn run_closed_loop_degraded(
@@ -1214,18 +1140,27 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "non-decreasing")]
     fn open_loop_rejects_unsorted_arrivals() {
         let space = GridSpace::new_2d(4, 4).unwrap();
         let dm = DiskModulo::new(&space, 2).unwrap();
         let dir = directory(2, &dm, &space);
         let queries = small_squares(&space);
-        let n = queries.len();
-        let mut arrivals = vec![0.0; n];
-        if n >= 2 {
-            arrivals[0] = 5.0;
-        }
-        let _ = run_open_loop(&dir, &DiskParams::default(), &queries, &arrivals);
+        let mut arrivals = vec![0.0; queries.len()];
+        arrivals[0] = 5.0;
+        let err = crate::ServeSpec::open(1.0)
+            .run_with_arrivals(
+                &MultiUserEngine::new(&dir),
+                &DiskParams::default(),
+                &queries,
+                &arrivals,
+                &Obs::disabled(),
+                &mut LoopScratch::new(),
+            )
+            .unwrap_err();
+        assert!(matches!(
+            err,
+            SimError::Spec(crate::SpecError::BadArrival { index: 1 })
+        ));
     }
 
     #[test]

@@ -1,8 +1,10 @@
-//! Sharded parallel serving: one serve run split across `S` disk shards.
+//! The open-loop serving pipeline: one serve run split across `S` disk
+//! shards. Every healthy open-loop run takes this path — `S = 1` is one
+//! shard owning every disk, not a separate loop.
 //!
-//! The serial serving loop interleaves three kinds of work per event:
-//! per-query page counting (the kernel), FCFS fan-out against the disk
-//! queues, and bookkeeping (heap, latencies, samples). The first two are
+//! Serving a request interleaves three kinds of work: per-query page
+//! counting (the kernel), FCFS fan-out against the disk queues, and
+//! bookkeeping (event order, latencies, samples). The first two are
 //! embarrassingly parallel *across disks* — the paper's own premise —
 //! while the bookkeeping is inherently sequential. This module exploits
 //! that split:
@@ -10,47 +12,48 @@
 //! 1. **Stage A (sequential, tiny).** The query stream is periodic
 //!    (`queries[i % L]`), so per-disk counts — and their service times
 //!    under the disk model — are computed once per distinct region into
-//!    `L × M` tables, and the serial loop's shape-cache hit/miss
-//!    counters are reproduced exactly by replaying the
-//!    [`decluster_methods::PlanCache`] LRU policy over the shape-id
-//!    sequence (with steady-state cycle detection, so a million-request
-//!    run costs a few periods).
+//!    `L × M` tables. The `kernel.shape_cache_*` counters report what a
+//!    per-request [`decluster_methods::PlanCache`] would see over the `n`
+//!    requests; they are computed by replaying its LRU policy over the
+//!    shape-id sequence (with steady-state cycle detection, so a
+//!    million-request run costs a few periods).
 //! 2. **Stage B (parallel).** Disk `d` belongs to shard
 //!    `⌊d·S/M⌋`-ish (contiguous ranges). Each shard walks the arrival
 //!    stream over *its* disks only, producing per-arrival partial
 //!    completion times, per-disk busy/free state, and partial
 //!    busy-disk counts on the sample grid. Per-disk FCFS state never
 //!    crosses a shard boundary, so every floating-point operation
-//!    sequence per disk is byte-identical to the serial loop's.
+//!    sequence per disk is the same at any shard count.
 //! 3. **Merge + sweep (sequential, heap-free).** Partial completions
 //!    are folded in shard order with `f64::max` (associative and exact
-//!    — each partial already folds from the issue time). The serial
-//!    loop's event heap is then rebuilt without running it: its
-//!    completions pop in `(total_cmp(completion), arrival index)`
-//!    order, which an insertion sort over a `u32` index buffer computes
-//!    in near-linear time (completions arrive nearly sorted). One linear
+//!    — each partial already folds from the issue time). The event order
+//!    of the FCFS model — completions pop in
+//!    `(total_cmp(completion), arrival index)` order, and win time ties
+//!    against arrivals — is then rebuilt without a heap: an insertion
+//!    sort over a `u32` index buffer computes the pop order in
+//!    near-linear time (completions arrive nearly sorted). One linear
 //!    pass yields latencies, pages and the makespan; a two-pointer pass
 //!    over arrivals and pop order yields `peak_in_flight`; and each
 //!    sample at boundary `T` reads `#{a < T}`, `#{c < T}` and the last
-//!    `window` popped latencies — exactly the state the serial loop
-//!    holds when it fires that sample.
+//!    `window` popped latencies — the state just before `T`.
 //!
 //! With `threads > 1` stage B and the merge are pipelined over
 //! arrival-count epochs ([`EPOCH_ARRIVALS`]): shard workers walk epoch
 //! `e+1` while the main thread merges epoch `e`. The pipeline only
 //! changes *when* work happens, never its values, so the result is
-//! byte-identical at any `--shards` and `--threads` combination —
-//! including `--shards 1`, which is the serial loop itself.
+//! byte-identical at any `--shards` and `--threads` combination.
 //!
 //! The shared-scan path parallelizes the same way with windows instead
 //! of arrivals: window membership, merged plans, and replica routing are
 //! precomputed sequentially (the [`decluster_methods::SharedScan`]
 //! absorption fan-in), expanded into a flat per-disk target list that
-//! preserves the serial issue order, and walked per shard.
-//! [`crate::faults::ReplicaPolicy::NearestFreeQueue`] with replicas
-//! reads *cross-disk* queue depths at issue time, so it falls back to
-//! the serial loop (as do the fault/degraded and closed-loop modes,
-//! whose admission and retry feedback is global by construction).
+//! preserves the `(disk asc, copy asc)` issue order, and walked per
+//! shard. [`crate::faults::ReplicaPolicy::NearestFreeQueue`] with
+//! replicas reads *cross-disk* queue depths at issue time, so it runs as
+//! one shard: that shard owns every disk and routes each batch from its
+//! own free times. The fault/degraded and closed-loop modes, whose
+//! admission and retry feedback is global by construction, have their
+//! own event loops.
 
 use crate::events::{
     LoopScratch, ServeConfig, ServeEventKind, ServeReport, ServeSample, ServingEngine,
@@ -71,7 +74,8 @@ pub(crate) const EPOCH_ARRIVALS: usize = 8192;
 /// Folds one shard's partial completion times into the accumulator with
 /// `f64::max`. Exact: every partial is a max-fold seeded from the same
 /// issue time, and `max` over non-NaN values is associative, so folding
-/// in shard order reproduces the serial single-pass fold bit-for-bit.
+/// in shard order reproduces the single-pass fold over all disks
+/// bit-for-bit.
 pub fn merge_epoch_max(acc: &mut [f64], part: &[f64]) {
     assert_eq!(acc.len(), part.len(), "epoch partials must line up");
     for (a, &p) in acc.iter_mut().zip(part) {
@@ -85,8 +89,7 @@ fn epoch_bounds(e: usize, n: usize) -> (usize, usize) {
 }
 
 /// Reusable buffers for sharded runs, owned by [`LoopScratch`] so a
-/// warmed scratch serves sharded runs with zero heap allocations, same
-/// as the serial loops.
+/// warmed scratch serves open-loop runs with zero heap allocations.
 #[derive(Debug, Default)]
 pub(crate) struct ShardScratch {
     /// `L × M` per-disk page counts, one row per distinct query region.
@@ -161,9 +164,10 @@ fn setup_states(states: &mut Vec<ShardState>, s: usize, m: usize, sample_every: 
     }
 }
 
-/// Replays the serial loop's [`decluster_methods::PlanCache`] LRU policy
-/// over a periodic shape-id stream to reproduce its hit/miss counters
-/// without touching the real cache once per request.
+/// Replays the [`decluster_methods::PlanCache`] LRU policy over a
+/// periodic shape-id stream to compute the hit/miss counters a
+/// per-request cache would see, without touching the real cache once
+/// per request.
 #[derive(Debug, Default)]
 struct LruReplay {
     slots: Vec<(u32, u64)>,
@@ -208,7 +212,7 @@ fn canonical(slots: &[(u32, u64)], out: &mut Vec<(u32, u32)>) {
 }
 
 impl LruReplay {
-    /// `(hits, misses)` of the serial cache over the stream
+    /// `(hits, misses)` of a per-request cache over the stream
     /// `shape_of[i % L]` for `i in 0..n`, starting from a cleared cache.
     fn stats(&mut self, shape_of: &[u32], n: u64, capacity: usize) -> (u64, u64) {
         if n == 0 || shape_of.is_empty() {
@@ -279,10 +283,10 @@ impl LruReplay {
 /// sorted in `O(n log n)` instead.
 const SHIFTS_PER_ARRIVAL: usize = 32;
 
-/// Fills `order` with the serial loop's completion pop order: arrival
-/// indices sorted by `(completion total_cmp, index)`, the event heap's
-/// `(time, seq)` key (completions are the heap's only pushes, so `seq`
-/// is the arrival index). Completions arrive nearly sorted, so this
+/// Fills `order` with the completion pop order: arrival indices sorted
+/// by `(completion total_cmp, index)`, an event queue's `(time, seq)`
+/// key (each arrival pushes exactly one completion, so `seq` is the
+/// arrival index). Completions arrive nearly sorted, so this
 /// runs an insertion sort; once it has spent [`SHIFTS_PER_ARRIVAL`]
 /// shifts per arrival it sorts in place instead — the composite key is
 /// unique, so an unstable sort gives the same order. Allocation-free
@@ -320,15 +324,15 @@ fn pop_order(completions: &[f64], order: &mut Vec<u32>) -> bool {
     false
 }
 
-/// Aggregates of the serial event loop that the sweep rebuilds.
+/// Aggregates of the event order that the sweep rebuilds.
 struct Sweep {
     makespan: f64,
     pages: u64,
     peak_in_flight: usize,
 }
 
-/// Rebuilds everything the serial loop's event heap produced from the
-/// merged completions, without a heap. The serial loop's events are the
+/// Rebuilds everything an event-queue simulation of the run produces
+/// from the merged completions, without a heap. The run's events are the
 /// arrivals in index order merged with the completions in pop order,
 /// where completion `k` pops before arrival `i` iff it was pushed
 /// (`k < i`) and `c_k <= a_i` (completions win time ties). Event times
@@ -431,9 +435,9 @@ fn walk_epoch(
     let mut row = (i0 % l) * m;
     for &a in &arrivals[i0..i1] {
         // A sample boundary at or before this arrival sees the free
-        // state after every strictly earlier arrival — exactly the
-        // serial rule (samples fire before the event that crosses them,
-        // and completions never change disk state).
+        // state after every strictly earlier arrival (samples fire
+        // before the event that crosses them, and completions never
+        // change disk state).
         while st.next_sample <= a {
             let t = st.next_sample;
             st.busy_samples
@@ -470,16 +474,18 @@ fn walk_epoch(
 }
 
 impl ServingEngine {
-    /// Sharded variant of the streaming open-loop serve: byte-identical
-    /// output at any `(shards, threads)` combination, including the
-    /// shape-cache counters, mid-run samples, and trace payloads.
-    /// `shards <= 1` (or a single-disk engine) is the serial loop.
-    ///
-    /// # Panics
-    /// As the serial loop: if `queries` is empty or `arrivals_ms` is not
-    /// non-decreasing.
+    /// Streaming open-loop serve: one request per entry of `arrivals_ms`,
+    /// each replaying the next query of `queries` round-robin, split over
+    /// `shards` disk shards (clamped to `1..=M`). Arrivals and completions
+    /// are ordered by time with completions first on ties; mid-run state
+    /// is sampled every [`ServeConfig::sample_every_ms`], and the
+    /// aggregate report carries exact p50/p95/p99 over all latencies.
+    /// Byte-identical output at any `(shards, threads)` combination,
+    /// including the shape-cache counters, mid-run samples, and trace
+    /// payloads. Reach it through [`crate::ServeSpec::open`], which
+    /// rejects an empty `queries` and unsorted or NaN arrival times.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn serve_core_sharded(
+    pub(crate) fn serve_core(
         &self,
         params: &DiskParams,
         queries: &[BucketRegion],
@@ -492,14 +498,6 @@ impl ServingEngine {
     ) -> ServeReport {
         let m = self.loads.len();
         let s = shards.clamp(1, m.max(1));
-        if s <= 1 {
-            return self.serve_core(params, queries, arrivals_ms, cfg, obs, ls);
-        }
-        assert!(!queries.is_empty(), "serve needs at least one query shape");
-        assert!(
-            arrivals_ms.windows(2).all(|w| w[0] <= w[1]),
-            "arrival times must be non-decreasing"
-        );
         let record = obs.enabled();
         let meters = record.then(|| LoopMeters::new(obs, "serve", m));
         let n = arrivals_ms.len();
@@ -554,7 +552,7 @@ impl ServingEngine {
             sh.shape_of.push(id);
         }
         // Stage A probed the real cache L times; discard those counts
-        // and reproduce the serial loop's n-request counters exactly.
+        // and report what a per-request cache sees over all n requests.
         let _ = ls.plans.drain_stats();
         let (shape_hits, shape_misses) = if self.kernel_backed() {
             sh.lru.stats(&sh.shape_of, n as u64, ls.plans.capacity())
@@ -711,7 +709,7 @@ impl ServingEngine {
             (sw, batches, queued)
         };
         ls.shard = sh;
-        // Every arrival and every completion is one event of the serial loop.
+        // Every arrival and every completion is one event.
         let events = 2 * n as u64;
 
         if let Some(meters) = &meters {
@@ -764,13 +762,18 @@ struct WindowPlan {
 
 /// One shard's walk over the precomputed windows: serves the targets
 /// landing on its owned disks in flat-list order (which preserves the
-/// serial `(disk asc, copy asc)` issue order per disk) and emits the
-/// shard-partial completion per window.
+/// `(disk asc, copy asc)` issue order per disk) and emits the
+/// shard-partial completion per window. With `nearest = r > 0` the
+/// targets are primaries and the walk routes each batch to the
+/// first-minimal free time among its `1 + r` chain copies; that needs
+/// every disk's queue, so the caller runs it as one shard.
+#[allow(clippy::too_many_arguments)]
 fn walk_windows(
     engine: &ServingEngine,
     params: &DiskParams,
     wins: &[WindowPlan],
     targets: &[(u32, u64)],
+    nearest: u32,
     sample_every: f64,
     record: bool,
     st: &mut ShardState,
@@ -785,26 +788,63 @@ fn walk_windows(
         }
         let issue_at = win.flush_t;
         let mut completion = issue_at;
-        for &(dt, count) in &targets[win.t_lo..win.t_hi] {
-            let d = dt as usize;
-            if d < st.lo || d >= st.hi {
-                continue;
-            }
-            let j = d - st.lo;
-            let start = issue_at.max(st.free[j]);
-            let service = params.batch_ms_counts(count, engine.load_of(d));
-            st.free[j] = start + service;
-            st.busy[j] += service;
-            completion = completion.max(start + service);
-            if record {
-                st.batches += 1;
-                if start > issue_at {
-                    st.queued += 1;
+        let batches = &targets[win.t_lo..win.t_hi];
+        if nearest == 0 {
+            for &(dt, count) in batches {
+                let d = dt as usize;
+                if d < st.lo || d >= st.hi {
+                    continue;
                 }
+                let done = serve_batch(engine, params, st, d, count, issue_at, record);
+                completion = completion.max(done);
+            }
+        } else {
+            let m = engine.num_disks();
+            debug_assert!(
+                st.lo == 0 && st.hi == m,
+                "queue-depth routing needs one shard"
+            );
+            for &(dt, count) in batches {
+                // Ties go to the earliest chain position.
+                let mut d = dt as usize;
+                for k in 1..=nearest as usize {
+                    let c = (dt as usize + k) % m;
+                    if st.free[c] < st.free[d] {
+                        d = c;
+                    }
+                }
+                let done = serve_batch(engine, params, st, d, count, issue_at, record);
+                completion = completion.max(done);
             }
         }
         st.win_part.push(completion);
     }
+}
+
+/// One FCFS batch of `count` pages on the shard's disk `d`, issued at
+/// `issue_at`; returns the batch's completion time.
+#[inline]
+fn serve_batch(
+    engine: &ServingEngine,
+    params: &DiskParams,
+    st: &mut ShardState,
+    d: usize,
+    count: u64,
+    issue_at: f64,
+    record: bool,
+) -> f64 {
+    let j = d - st.lo;
+    let start = issue_at.max(st.free[j]);
+    let service = params.batch_ms_counts(count, engine.load_of(d));
+    st.free[j] = start + service;
+    st.busy[j] += service;
+    if record {
+        st.batches += 1;
+        if start > issue_at {
+            st.queued += 1;
+        }
+    }
+    start + service
 }
 
 /// Counters the shared replay accumulates; folded into the report by
@@ -820,12 +860,12 @@ struct SharedTotals {
     in_flight_peak: usize,
 }
 
-/// Replays the serial shared-scan event loop with the merge and fan-out
-/// replaced by the precomputed windows: the typed event heap sees the
-/// identical push sequence (flush scheduling on window-opening arrivals,
-/// completion fan-back per member at flush), so event order, sample
-/// `in_flight`/`completed`, the latency ring, and latencies are
-/// byte-identical. `busy_disks` is patched after the walks.
+/// Runs the shared-scan event order with the merge and fan-out replaced
+/// by the precomputed windows: the typed event heap gets a flush pushed
+/// on each window-opening arrival and one completion per member at
+/// flush, so event order, sample `in_flight`/`completed`, the latency
+/// ring, and latencies follow from it. `busy_disks` is patched after
+/// the walks.
 fn replay_shared(
     ls: &mut LoopScratch,
     arrivals: &[f64],
@@ -928,18 +968,29 @@ fn replay_shared(
 }
 
 impl ServingEngine {
-    /// Sharded variant of the shared-scan serve: byte-identical output
-    /// at any `(shards, threads)`. Window membership, the
-    /// [`decluster_methods::SharedScan`] absorption fan-in, and replica
-    /// routing are precomputed sequentially; the per-disk FCFS service
-    /// is walked per shard. [`ReplicaPolicy::NearestFreeQueue`] with
-    /// replicas routes on cross-disk queue depths at issue time, so it
-    /// (and `shards <= 1`) delegates to the serial loop.
+    /// Streaming shared-scan serve: arrivals are grouped into batch
+    /// windows of `cfg.batch_window_ms` of logical time. The first
+    /// arrival of a window opens it and schedules a flush one window
+    /// later; every arrival before the flush joins the window (an
+    /// arrival exactly at the flush time opens the next one). At flush
+    /// time the members' buckets are deduplicated into one per-disk
+    /// distinct-page schedule (the [`decluster_methods::SharedScan`]
+    /// absorption fan-in), issued once across the `1 + r` replica copies
+    /// per `cfg.policy`, and the completion fans back to every member —
+    /// each latency measured from its own arrival, so queueing inside
+    /// the window shows up in the tail.
     ///
-    /// # Panics
-    /// As the serial shared loop.
+    /// Window membership, absorption and replica routing are precomputed
+    /// sequentially; the per-disk FCFS service is walked per shard, so
+    /// output is byte-identical at any `(shards, threads)`.
+    /// [`ReplicaPolicy::NearestFreeQueue`] with replicas routes on
+    /// cross-disk queue depths at issue time, so it runs as one shard.
+    /// With `batch_window_ms == 0` the run is the unshared
+    /// [`ServingEngine::serve_core`]. Healthy mode only; reach it
+    /// through [`crate::ServeSpec::share`], which validates the window,
+    /// the replica count, the queries and the arrival order.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn serve_shared_core_sharded(
+    pub(crate) fn serve_shared_core(
         &self,
         dir: &GridDirectory,
         params: &DiskParams,
@@ -952,7 +1003,7 @@ impl ServingEngine {
         ls: &mut LoopScratch,
     ) -> SharedServeReport {
         if cfg.batch_window_ms == 0.0 {
-            let serve = self.serve_core_sharded(
+            let serve = self.serve_core(
                 params,
                 queries,
                 arrivals_ms,
@@ -970,29 +1021,21 @@ impl ServingEngine {
             };
         }
         let m = self.loads.len();
-        let s = shards.clamp(1, m.max(1));
-        if s <= 1 || (cfg.replicas > 0 && cfg.policy == ReplicaPolicy::NearestFreeQueue) {
-            return self.serve_shared_core(dir, params, queries, arrivals_ms, cfg, obs, ls);
-        }
-        assert!(
-            cfg.batch_window_ms.is_finite() && cfg.batch_window_ms > 0.0,
-            "batch window must be finite and non-negative"
-        );
-        assert!(!queries.is_empty(), "serve needs at least one query shape");
-        assert!(
-            arrivals_ms.windows(2).all(|win| win[0] <= win[1]),
-            "arrival times must be non-decreasing"
-        );
-        assert_eq!(
+        debug_assert_eq!(
             dir.num_disks() as usize,
             m,
             "directory disk count differs from the engine's"
         );
-        assert!(
-            (cfg.replicas as usize) < m,
-            "replica count {} >= M = {m}",
+        let nearest = if cfg.policy == ReplicaPolicy::NearestFreeQueue {
             cfg.replicas
-        );
+        } else {
+            0
+        };
+        let s = if nearest > 0 {
+            1
+        } else {
+            shards.clamp(1, m.max(1))
+        };
         let record = obs.enabled();
         let meters = record.then(|| LoopMeters::new(obs, "serve", m));
         let n = arrivals_ms.len();
@@ -1011,7 +1054,7 @@ impl ServingEngine {
         let copies = u64::from(cfg.replicas) + 1;
 
         // Window precompute: membership, absorption fan-in, and the
-        // flat replica-routed target list in serial issue order.
+        // flat replica-routed target list in issue order.
         sh.wins.clear();
         sh.win_targets.clear();
         let mut i = 0usize;
@@ -1048,15 +1091,15 @@ impl ServingEngine {
                             sh.win_targets.push((((d + j as usize) % m) as u32, share));
                         }
                     }
-                    ReplicaPolicy::PrimaryOnly | ReplicaPolicy::FailoverOnly => {
+                    // Queue-depth routing happens in the walk.
+                    ReplicaPolicy::PrimaryOnly
+                    | ReplicaPolicy::FailoverOnly
+                    | ReplicaPolicy::NearestFreeQueue => {
                         sh.win_targets.push((d as u32, count));
                     }
                     ReplicaPolicy::RoundRobin => {
                         sh.win_targets
                             .push((((d + (route_key % copies) as usize) % m) as u32, count));
-                    }
-                    ReplicaPolicy::NearestFreeQueue => {
-                        unreachable!("queue-depth routing falls back to the serial loop")
                     }
                 }
             }
@@ -1087,13 +1130,31 @@ impl ServingEngine {
                 std::thread::scope(|scope| {
                     for st in states[..s].iter_mut() {
                         scope.spawn(move || {
-                            walk_windows(engine, params, wins, targets, sample_every, record, st);
+                            walk_windows(
+                                engine,
+                                params,
+                                wins,
+                                targets,
+                                nearest,
+                                sample_every,
+                                record,
+                                st,
+                            );
                         });
                     }
                 });
             } else {
                 for st in states[..s].iter_mut() {
-                    walk_windows(engine, params, wins, targets, sample_every, record, st);
+                    walk_windows(
+                        engine,
+                        params,
+                        wins,
+                        targets,
+                        nearest,
+                        sample_every,
+                        record,
+                        st,
+                    );
                 }
             }
             win_completions.clear();
@@ -1174,6 +1235,7 @@ impl ServingEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::workload::random_region;
     use decluster_grid::{BucketCoord, GridSpace};
     use decluster_methods::{DeclusteringMethod, Hcam};
     use rand::rngs::StdRng;
@@ -1337,8 +1399,11 @@ mod tests {
         }
     }
 
+    /// S = 1 (one shard owning every disk) is the baseline: every other
+    /// shard and thread count reproduces it bit for bit, on a cold and a
+    /// warmed scratch.
     #[test]
-    fn sharded_serve_is_bit_identical_to_serial() {
+    fn serve_is_bit_identical_at_any_shard_count() {
         let (dir, queries, arrivals) = serving_fixture();
         let engine = crate::MultiUserEngine::new(&dir);
         let params = DiskParams::default();
@@ -1348,64 +1413,134 @@ mod tests {
         };
         let obs = Obs::disabled();
         let mut ls = LoopScratch::new();
-        let serial = engine
+        let one = engine
             .serving()
-            .serve_core(&params, &queries, &arrivals, &cfg, &obs, &mut ls);
-        let serial_samples = ls.samples().to_vec();
-        for shards in [2usize, 3, 7, 8] {
+            .serve_core(&params, &queries, &arrivals, &cfg, 1, 1, &obs, &mut ls);
+        let one_samples = ls.samples().to_vec();
+        assert!(!one_samples.is_empty());
+        for shards in [1usize, 2, 3, 7, 8] {
             for threads in [1usize, 4] {
                 let mut ls2 = LoopScratch::new();
-                // Twice per scratch: cold and warmed must both match.
                 for round in 0..2 {
                     let tag = format!("S={shards} T={threads} round={round}");
-                    let sharded = engine.serving().serve_core_sharded(
+                    let run = engine.serving().serve_core(
                         &params, &queries, &arrivals, &cfg, shards, threads, &obs, &mut ls2,
                     );
-                    assert_reports_identical(&serial, &sharded, &tag);
-                    assert_samples_identical(&serial_samples, ls2.samples(), &tag);
+                    assert_reports_identical(&one, &run, &tag);
+                    assert_samples_identical(&one_samples, ls2.samples(), &tag);
                 }
             }
         }
     }
 
+    /// Runs long enough to span several epochs, so `threads > 1` takes the
+    /// pipelined walk — with one worker at S = 1.
     #[test]
-    fn sharded_serve_reproduces_shape_cache_counters() {
-        use decluster_obs::{MetricsRecorder, Recorder};
-        use std::sync::Arc;
-        let (dir, queries, arrivals) = serving_fixture();
+    fn pipelined_walk_matches_inline_walk() {
+        let (dir, queries, _) = serving_fixture();
         let engine = crate::MultiUserEngine::new(&dir);
         let params = DiskParams::default();
-        let cfg = ServeConfig::default();
-        let serial_rec = Arc::new(MetricsRecorder::new());
+        let mut rng = StdRng::seed_from_u64(4);
+        let arrivals = crate::multiuser::poisson_arrivals(&mut rng, 30_000, 80.0);
+        assert!(arrivals.len() > 3 * EPOCH_ARRIVALS);
+        let cfg = ServeConfig {
+            sample_every_ms: 5_000.0,
+            ..ServeConfig::default()
+        };
+        let obs = Obs::disabled();
         let mut ls = LoopScratch::new();
-        engine.serving().serve_core(
-            &params,
-            &queries,
-            &arrivals,
-            &cfg,
-            &Obs::new(serial_rec.clone()),
-            &mut ls,
-        );
-        let sharded_rec = Arc::new(MetricsRecorder::new());
-        engine.serving().serve_core_sharded(
-            &params,
-            &queries,
-            &arrivals,
-            &cfg,
-            4,
-            1,
-            &Obs::new(sharded_rec.clone()),
-            &mut ls,
-        );
-        let a = serial_rec.snapshot();
-        let b = sharded_rec.snapshot();
-        for key in ["kernel.shape_cache_hits", "kernel.shape_cache_misses"] {
-            assert_eq!(a.counter(key), b.counter(key), "{key}");
+        let inline = engine
+            .serving()
+            .serve_core(&params, &queries, &arrivals, &cfg, 1, 1, &obs, &mut ls);
+        let inline_samples = ls.samples().to_vec();
+        for (shards, threads) in [(1usize, 3usize), (4, 3)] {
+            let tag = format!("S={shards} T={threads}");
+            let run = engine.serving().serve_core(
+                &params, &queries, &arrivals, &cfg, shards, threads, &obs, &mut ls,
+            );
+            assert_reports_identical(&inline, &run, &tag);
+            assert_samples_identical(&inline_samples, ls.samples(), &tag);
+        }
+    }
+
+    /// The `kernel.shape_cache_*` counters mean what a real
+    /// [`decluster_methods::PlanCache`] sees when probed once per request
+    /// over `queries[i % L]`, for `n` requests from a cleared cache.
+    fn per_request_cache(engine: &ServingEngine, queries: &[BucketRegion], n: usize) -> (u64, u64) {
+        let mut plans = decluster_methods::PlanCache::new();
+        let mut scratch = decluster_methods::Scratch::new();
+        let mut hist = Vec::new();
+        for i in 0..n {
+            engine.counts().counts_into_cached(
+                &queries[i % queries.len()],
+                &mut plans,
+                &mut scratch,
+                &mut hist,
+            );
+        }
+        plans.drain_stats()
+    }
+
+    #[test]
+    fn shape_cache_counters_match_a_per_request_plan_cache() {
+        use decluster_obs::{MetricsRecorder, Recorder};
+        use std::sync::Arc;
+        let space = GridSpace::new_2d(16, 16).unwrap();
+        let hcam = Hcam::new(&space, 8).unwrap();
+        let dir = GridDirectory::build(space.clone(), 8, |b| hcam.disk_of(b.as_slice()));
+        let engine = crate::MultiUserEngine::new(&dir);
+        let params = DiskParams::default();
+        let mut rng = StdRng::seed_from_u64(5);
+        // 12 distinct shapes fit the 32-slot cache.
+        let few: Vec<BucketRegion> = (0..30u32)
+            .map(|i| random_region(&mut rng, &space, &[1 + i % 3, 1 + i % 4]).unwrap())
+            .collect();
+        // 40 distinct shapes cycled round-robin thrash it.
+        let thrash: Vec<BucketRegion> = (0..200u32)
+            .map(|i| random_region(&mut rng, &space, &[1 + (i / 8) % 5, 1 + i % 8]).unwrap())
+            .collect();
+        for (tag, queries, n) in [
+            ("no eviction", &few, 600usize),
+            ("thrash", &thrash, 2_000),
+            ("n < L", &few, 20),
+            ("n < L, 40 shapes", &thrash, 50),
+        ] {
+            let (hits, misses) = per_request_cache(engine.serving(), queries, n);
+            assert_eq!(hits + misses, n as u64, "{tag}");
+            if tag == "no eviction" {
+                assert_eq!(misses, 12, "{tag}: one miss per distinct shape");
+            }
+            if tag == "thrash" {
+                assert!(misses > 40, "{tag}: the cache must evict");
+            }
+            let arrivals: Vec<f64> = (0..n).map(|i| i as f64 * 0.5).collect();
+            for shards in [1usize, 4] {
+                let rec = Arc::new(MetricsRecorder::new());
+                engine.serving().serve_core(
+                    &params,
+                    queries,
+                    &arrivals,
+                    &ServeConfig::default(),
+                    shards,
+                    1,
+                    &Obs::new(rec.clone()),
+                    &mut LoopScratch::new(),
+                );
+                let snap = rec.snapshot();
+                assert_eq!(
+                    (
+                        snap.counter("kernel.shape_cache_hits"),
+                        snap.counter("kernel.shape_cache_misses")
+                    ),
+                    (Some(hits), Some(misses)),
+                    "{tag}: S={shards}"
+                );
+            }
         }
     }
 
     #[test]
-    fn sharded_shared_serve_is_bit_identical_to_serial() {
+    fn shared_serve_is_bit_identical_at_any_shard_count() {
         let (dir, queries, arrivals) = serving_fixture();
         let engine = crate::MultiUserEngine::new(&dir);
         let params = DiskParams::default();
@@ -1414,7 +1549,7 @@ mod tests {
             (0u32, ReplicaPolicy::PrimaryOnly),
             (1, ReplicaPolicy::Spread),
             (2, ReplicaPolicy::RoundRobin),
-            (1, ReplicaPolicy::NearestFreeQueue), // serial fallback path
+            (1, ReplicaPolicy::NearestFreeQueue), // always one shard
         ] {
             let cfg = SharedServeConfig {
                 serve: ServeConfig {
@@ -1426,25 +1561,22 @@ mod tests {
                 policy,
             };
             let mut ls = LoopScratch::new();
-            let serial = engine
-                .serving()
-                .serve_shared_core(&dir, &params, &queries, &arrivals, &cfg, &obs, &mut ls);
-            let serial_samples = ls.samples().to_vec();
+            let one = engine.serving().serve_shared_core(
+                &dir, &params, &queries, &arrivals, &cfg, 1, 1, &obs, &mut ls,
+            );
+            let one_samples = ls.samples().to_vec();
             for shards in [2usize, 5, 8] {
                 for threads in [1usize, 3] {
                     let tag = format!("r={replicas} {policy} S={shards} T={threads}");
                     let mut ls2 = LoopScratch::new();
-                    let sharded = engine.serving().serve_shared_core_sharded(
+                    let run = engine.serving().serve_shared_core(
                         &dir, &params, &queries, &arrivals, &cfg, shards, threads, &obs, &mut ls2,
                     );
-                    assert_reports_identical(&serial.serve, &sharded.serve, &tag);
-                    assert_eq!(serial.windows, sharded.windows, "{tag}: windows");
-                    assert_eq!(
-                        serial.merged_queries, sharded.merged_queries,
-                        "{tag}: merged"
-                    );
-                    assert_eq!(serial.pages_saved, sharded.pages_saved, "{tag}: saved");
-                    assert_samples_identical(&serial_samples, ls2.samples(), &tag);
+                    assert_reports_identical(&one.serve, &run.serve, &tag);
+                    assert_eq!(one.windows, run.windows, "{tag}: windows");
+                    assert_eq!(one.merged_queries, run.merged_queries, "{tag}: merged");
+                    assert_eq!(one.pages_saved, run.pages_saved, "{tag}: saved");
+                    assert_samples_identical(&one_samples, ls2.samples(), &tag);
                 }
             }
         }

@@ -16,9 +16,9 @@
 //! |---|---|
 //! | `closed(c)` | the closed-loop counts kernel |
 //! | `closed(c).faults(..)` | chained-failover closed loop |
-//! | `open(rate)` | streaming event serve |
+//! | `open(rate)` | open-loop pipeline (`S = 1` is one shard) |
 //! | `open(rate).faults(..)` | fault-injected streaming serve |
-//! | `open(rate).share(w)` | shared-scan streaming serve |
+//! | `open(rate).share(w)` | shared-scan pipeline |
 
 use crate::events::{
     DegradedServeConfig, LoopScratch, ServeConfig, ServingEngine, SharedServeConfig,
@@ -96,6 +96,14 @@ pub enum SpecError {
     },
     /// Explicit arrival times handed to a closed loop.
     ClosedArrivals,
+    /// An open-loop run with no query shapes to replay.
+    NoQueries,
+    /// An arrival time that is not finite or is earlier than the one
+    /// before it (open-loop arrivals must be finite and non-decreasing).
+    BadArrival {
+        /// Index of the first offending arrival.
+        index: usize,
+    },
 }
 
 impl std::fmt::Display for SpecError {
@@ -149,6 +157,13 @@ impl std::fmt::Display for SpecError {
                 write!(
                     f,
                     "closed loops pace themselves; arrival times need an open spec"
+                )
+            }
+            SpecError::NoQueries => write!(f, "an open-loop run needs at least one query"),
+            SpecError::BadArrival { index } => {
+                write!(
+                    f,
+                    "arrival {index} is not finite or is earlier than the one before it"
                 )
             }
         }
@@ -308,10 +323,10 @@ impl ServeSpec {
     }
 
     /// Partition the M disks across `shards` worker shards for open-loop
-    /// healthy runs (plain or shared-scan). The report, metrics, and
-    /// samples are byte-identical to the serial loop at any shard count;
-    /// [`ServeSpec::validate`] rejects `0` and values above the disk
-    /// count.
+    /// healthy runs (plain or shared-scan; the default `1` is one shard
+    /// owning every disk). The report, metrics, and samples are
+    /// byte-identical at any shard count; [`ServeSpec::validate`] rejects
+    /// `0` and values above the disk count.
     #[must_use]
     pub fn shards(mut self, shards: usize) -> Self {
         self.shards = shards;
@@ -388,7 +403,8 @@ impl ServeSpec {
     /// [`ServeSpec::run_with_arrivals`] and reuse one stream.
     ///
     /// # Errors
-    /// [`SimError::Spec`] when the spec is invalid for the engine;
+    /// [`SimError::Spec`] when the spec is invalid for the engine or an
+    /// open-mode run has no queries ([`SpecError::NoQueries`]);
     /// [`SimError::ScheduleMismatch`] when a fault schedule covers a
     /// different disk count.
     pub fn run(
@@ -421,7 +437,8 @@ impl ServeSpec {
     ///
     /// # Errors
     /// As [`ServeSpec::run`]; also [`SpecError::ClosedArrivals`] for
-    /// closed mode.
+    /// closed mode and [`SpecError::BadArrival`] for a non-finite or
+    /// decreasing arrival time.
     pub fn run_with_arrivals(
         &self,
         engine: &MultiUserEngine,
@@ -468,6 +485,18 @@ impl ServeSpec {
         ls: &mut LoopScratch,
     ) -> crate::Result<ServeRun> {
         self.validate(engine.num_disks()).map_err(SimError::Spec)?;
+        if let SpecMode::Open { .. } = self.mode {
+            if queries.is_empty() {
+                return Err(SimError::Spec(SpecError::NoQueries));
+            }
+            let bad = arrivals_ms
+                .iter()
+                .enumerate()
+                .position(|(i, a)| !a.is_finite() || (i > 0 && *a < arrivals_ms[i - 1]));
+            if let Some(index) = bad {
+                return Err(SimError::Spec(SpecError::BadArrival { index }));
+            }
+        }
         let serving: &ServingEngine = engine.serving();
         match (self.mode, &self.faults, self.batch_window_ms) {
             (SpecMode::Closed { clients }, None, _) => {
@@ -497,7 +526,7 @@ impl ServeSpec {
                 Ok(run)
             }
             (SpecMode::Open { .. }, None, None) => {
-                let sr = serving.serve_core_sharded(
+                let sr = serving.serve_core(
                     params,
                     queries,
                     arrivals_ms,
@@ -516,7 +545,7 @@ impl ServeSpec {
                     replicas: self.replicas,
                     policy: self.policy,
                 };
-                let sr = serving.serve_shared_core_sharded(
+                let sr = serving.serve_shared_core(
                     engine.directory(),
                     params,
                     queries,
@@ -777,35 +806,70 @@ mod tests {
     }
 
     #[test]
-    fn open_spec_matches_serve_core_bitwise() {
-        let (dir, queries, arrivals) = fixture();
+    fn open_runs_without_queries_are_an_error_not_a_panic() {
+        let (dir, _, _) = fixture();
+        let params = DiskParams::default();
+        for spec in [
+            ServeSpec::open(10.0),
+            ServeSpec::open(10.0).share(5.0),
+            ServeSpec::open(10.0).faults(FaultSchedule::healthy(8)),
+        ] {
+            let err = spec.run_on(&dir, &params, &[]).unwrap_err();
+            assert!(matches!(err, SimError::Spec(SpecError::NoQueries)), "{err}");
+            assert_eq!(err.to_string().lines().count(), 1);
+        }
+        // A closed loop over no queries is a well-defined empty run.
+        let run = ServeSpec::closed(2).run_on(&dir, &params, &[]).unwrap();
+        assert_eq!(run.report.queries, 0);
+    }
+
+    #[test]
+    fn bad_arrival_times_are_an_error_not_a_panic() {
+        let (dir, queries, _) = fixture();
         let params = DiskParams::default();
         let engine = MultiUserEngine::new(&dir);
-        let old = engine.serving().serve_core(
-            &params,
-            &queries,
-            &arrivals,
-            &ServeConfig::default(),
-            &Obs::disabled(),
-            &mut LoopScratch::new(),
-        );
-        let new = ServeSpec::open(200.0)
+        let cases: [(&[f64], usize); 5] = [
+            (&[0.0, 2.0, 1.0], 2),
+            (&[f64::NAN], 0),
+            (&[0.0, f64::NAN, 3.0], 1),
+            (&[0.0, f64::INFINITY], 1),
+            (&[1.0, 1.0, f64::NEG_INFINITY], 2),
+        ];
+        for spec in [
+            ServeSpec::open(10.0),
+            ServeSpec::open(10.0).share(5.0).shards(4),
+            ServeSpec::open(10.0).faults(FaultSchedule::healthy(8)),
+        ] {
+            for (arrivals, index) in cases {
+                let err = spec
+                    .run_with_arrivals(
+                        &engine,
+                        &params,
+                        &queries,
+                        arrivals,
+                        &Obs::disabled(),
+                        &mut LoopScratch::new(),
+                    )
+                    .unwrap_err();
+                assert!(
+                    matches!(err, SimError::Spec(SpecError::BadArrival { index: i }) if i == index),
+                    "{arrivals:?}: {err}"
+                );
+                assert_eq!(err.to_string().lines().count(), 1);
+            }
+        }
+        // Ties are fine.
+        let tied = [0.0, 0.0, 1.0, 1.0];
+        assert!(ServeSpec::open(10.0)
             .run_with_arrivals(
                 &engine,
                 &params,
                 &queries,
-                &arrivals,
+                &tied,
                 &Obs::disabled(),
                 &mut LoopScratch::new(),
             )
-            .unwrap();
-        assert_eq!(
-            old.report.makespan_ms.to_bits(),
-            new.report.makespan_ms.to_bits()
-        );
-        assert_eq!(old.events, new.events);
-        assert_eq!(old.pages, new.pages);
-        assert_eq!(old.peak_in_flight, new.peak_in_flight);
+            .is_ok());
     }
 
     #[test]

@@ -158,7 +158,7 @@ const EXPERIMENTS: &[ExperimentSpec] = &[
     ExperimentSpec {
         name: "bench_parallel",
         describe:
-            "sharded-serving scaling: shards x rate events/sec grid, serial-vs-sharded byte-identity (writes BENCH_parallel.json)",
+            "sharded-serving scaling: shards x rate events/sec grid, 1-vs-S-shard byte-identity (writes BENCH_parallel.json)",
         engine: false,
     },
 ];
@@ -207,8 +207,9 @@ fn usage() -> String {
     u.push_str(&format!(
         "\n--shards S (1..={DISKS}) splits each healthy open-loop serve run over S\n\
          disk shards; every table, metric, and sample is byte-identical at any\n\
-         shard count (the fault-injected path has global feedback and stays\n\
-         serial regardless).\n"
+         shard count; 1 is the same pipeline with one shard owning every disk\n\
+         (the fault-injected path has global feedback and runs its own event\n\
+         loop regardless).\n"
     ));
     u
 }
@@ -234,7 +235,7 @@ struct Opts {
     quick: bool,
     threads: usize,
     /// Disk shards each healthy open-loop serve run is split over
-    /// (byte-identical at any count); 1 = the serial loop.
+    /// (byte-identical at any count); 1 = one shard owning every disk.
     shards: usize,
     /// Arrivals per (rate, method) cell of the `serve` experiment;
     /// `None` = 50,000 (5,000 with `--quick`).
@@ -2358,7 +2359,7 @@ fn bench_warm(opts: &Opts) -> String {
 /// Timing snapshot of sharded parallel serving: one million open-loop
 /// Poisson arrivals stream through HCAM's serving engine at each rate of
 /// a small ladder, once per shard count in {1, 2, 4, 8, 16}. Every
-/// sharded run's report is asserted bit-identical to the 1-shard serial
+/// sharded run's report is asserted bit-identical to the 1-shard
 /// baseline before its cell is accepted, so the grid measures pure
 /// mechanism cost. Reports events/sec per (shards, rate) cell and the
 /// 8-shard speedup; writes `BENCH_parallel.json` beside the other
@@ -2366,12 +2367,11 @@ fn bench_warm(opts: &Opts) -> String {
 ///
 /// The workload is the paper's multi-attribute setting at serving
 /// scale: a 4-attribute 16^4 grid on 64 disks with small mixed-shape
-/// range queries. That shape stresses exactly what sharding amortizes —
-/// the serial loop pays the `O(M · 2^k)` per-disk count kernel on every
-/// arrival, while the sharded pipeline plans each *distinct* query once
-/// per run (Stage A) and streams the remaining per-arrival work through
-/// the shard walk, so the speedup is algorithmic and holds even on a
-/// single core.
+/// range queries. Every shard count runs the same plan-once pipeline
+/// (each *distinct* query is planned once per run), so the grid
+/// measures how the per-disk walk scales with shards. The checked-in
+/// `BENCH_parallel.json` predates that: its 1-shard baseline is the
+/// per-request serial loop the pipeline replaced.
 fn bench_parallel(opts: &Opts) -> String {
     use decluster::sim::workload::random_region;
     use rand::rngs::StdRng;
@@ -2419,7 +2419,7 @@ fn bench_parallel(opts: &Opts) -> String {
         "shards", "rate q/s", "events", "loop ms", "events/sec", "identical"
     );
     let mut ls = LoopScratch::new();
-    // The 1-shard serial baseline per rate, captured for the
+    // The 1-shard baseline per rate, captured for the
     // byte-identity assertion every sharded cell must pass.
     let mut baselines: Vec<Option<decluster::sim::ServeRun>> = vec![None; rates.len()];
     let mut cells = Vec::new();
@@ -2433,7 +2433,7 @@ fn bench_parallel(opts: &Opts) -> String {
                 .shards(shards)
                 .threads(shards);
             // Warm pass: size every shard buffer so the timed pass runs
-            // allocation-free, exactly like the serial loop's steady state.
+            // allocation-free, exactly like a warmed one-shard run.
             let _ = spec
                 .run_with_arrivals(&engine, &params, &regions, &arrivals[ri], &obs, &mut ls)
                 .expect("the bench serve spec is valid");
@@ -2486,7 +2486,7 @@ fn bench_parallel(opts: &Opts) -> String {
     let speedup_8 =
         eps_by_shards[SHARDS.iter().position(|&s| s == 8).expect("8 in grid")] / base_eps.max(1e-9);
     out.push_str(&format!(
-        "\n8-shard speedup over the serial loop: {speedup_8:.2}x \
+        "\n8-shard speedup over one shard: {speedup_8:.2}x \
          (all sharded reports byte-identical to 1 shard)\n"
     ));
 

@@ -1,15 +1,16 @@
 //! End-to-end equivalence tests for the kernel-backed multi-user engine:
-//! the public closed/open/degraded loops must produce bit-identical
-//! reports to an independent reference loop that materializes each
-//! query's I/O plan and reads counts off its group lengths — the
-//! pre-rewire data path. This pins the rewire as a pure data-path
-//! optimization: same queueing, same service model, same bytes.
+//! the public closed loop, degraded closed loop and open-loop serve must
+//! produce bit-identical reports to an independent reference loop that
+//! materializes each query's I/O plan and reads counts off its group
+//! lengths — the pre-rewire data path. This pins the rewire as a pure
+//! data-path optimization: same queueing, same service model, same bytes.
 
 use decluster::grid::{BucketRegion, GridDirectory, GridSpace, IoPlan};
 use decluster::prelude::*;
 use decluster::sim::workload::random_region;
 use decluster::sim::{
-    load_sweep, poisson_arrivals, DiskParams, LoopScratch, MultiUserEngine, ServeSpec,
+    load_sweep, poisson_arrivals, DiskParams, LoopScratch, MultiUserEngine, MultiUserReport,
+    Quantiles, ServeSpec,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -101,22 +102,24 @@ fn closed_loop_is_bit_identical_to_materialized_plan_loop() {
     }
 }
 
-#[test]
-fn open_loop_is_bit_identical_to_materialized_plan_loop() {
-    let (space, dir) = directory();
-    let params = DiskParams::default();
-    let queries = query_stream(&space, 200);
-    let mut rng = StdRng::seed_from_u64(5);
-    let arrivals = poisson_arrivals(&mut rng, queries.len(), 80.0);
-    // Reference: same loop but issue times come from the arrival vector.
+/// The pre-rewire open loop: query `i % L` issued at `arrivals[i]`,
+/// materialized plans, FCFS per disk. Returns `(makespan_ms, latencies,
+/// per-disk busy ms)`.
+fn reference_open_loop(
+    dir: &GridDirectory,
+    params: &DiskParams,
+    queries: &[BucketRegion],
+    arrivals: &[f64],
+) -> (f64, Vec<f64>, Vec<f64>) {
     let loads = dir.load_vector();
     let m = loads.len();
     let mut plan = IoPlan::new();
     let mut disk_free_at = vec![0.0f64; m];
+    let mut busy = vec![0.0f64; m];
+    let mut latencies = Vec::new();
     let mut makespan = 0.0f64;
-    let mut sum = 0.0f64;
-    for (region, &issue_at) in queries.iter().zip(&arrivals) {
-        dir.io_plan_into(region, &mut plan);
+    for (i, &issue_at) in arrivals.iter().enumerate() {
+        dir.io_plan_into(&queries[i % queries.len()], &mut plan);
         let mut completion = issue_at;
         for d in 0..m {
             let count = plan.disk_pages(d).len() as u64;
@@ -126,21 +129,45 @@ fn open_loop_is_bit_identical_to_materialized_plan_loop() {
             let start = issue_at.max(disk_free_at[d]);
             let service = params.batch_ms_counts(count, loads[d]);
             disk_free_at[d] = start + service;
+            busy[d] += service;
             completion = completion.max(start + service);
         }
-        sum += completion - issue_at;
+        latencies.push(completion - issue_at);
         makespan = makespan.max(completion);
     }
-    let engine = MultiUserEngine::new(&dir);
-    let report = engine.open_loop_obs(
-        &params,
-        &queries,
-        &arrivals,
-        &decluster::obs::Obs::disabled(),
-        &mut LoopScratch::new(),
-    );
+    (makespan, latencies, busy)
+}
+
+fn open_run(
+    engine: &MultiUserEngine,
+    params: &DiskParams,
+    queries: &[BucketRegion],
+    arrivals: &[f64],
+) -> MultiUserReport {
+    ServeSpec::open(1.0)
+        .run_with_arrivals(
+            engine,
+            params,
+            queries,
+            arrivals,
+            &decluster::obs::Obs::disabled(),
+            &mut LoopScratch::new(),
+        )
+        .expect("a valid open-loop spec")
+        .report
+}
+
+#[test]
+fn open_loop_is_bit_identical_to_materialized_plan_loop() {
+    let (space, dir) = directory();
+    let params = DiskParams::default();
+    let queries = query_stream(&space, 200);
+    let mut rng = StdRng::seed_from_u64(5);
+    let arrivals = poisson_arrivals(&mut rng, queries.len(), 80.0);
+    let (makespan, latencies, _) = reference_open_loop(&dir, &params, &queries, &arrivals);
+    let report = open_run(&MultiUserEngine::new(&dir), &params, &queries, &arrivals);
     assert_eq!(report.makespan_ms.to_bits(), makespan.to_bits());
-    let ref_mean = sum / queries.len() as f64;
+    let ref_mean = latencies.iter().sum::<f64>() / queries.len() as f64;
     assert_eq!(report.latency.mean.to_bits(), ref_mean.to_bits());
 }
 
@@ -191,13 +218,7 @@ fn load_sweep_matches_individual_open_loop_runs() {
     for (point, &rate) in points.iter().zip(&rates) {
         let mut rng = StdRng::seed_from_u64(9);
         let arrivals = poisson_arrivals(&mut rng, queries.len(), rate);
-        let solo = engine.open_loop_obs(
-            &params,
-            &queries,
-            &arrivals,
-            &decluster::obs::Obs::disabled(),
-            &mut LoopScratch::new(),
-        );
+        let solo = open_run(&engine, &params, &queries, &arrivals);
         assert_eq!(point.methods.len(), 1);
         assert_eq!(point.methods[0].name, "HCAM");
         assert_eq!(
@@ -309,9 +330,10 @@ fn degraded_loop_is_bit_identical_to_materialized_plan_loop() {
     assert_eq!(run.report.latency.mean.to_bits(), ref_mean.to_bits());
 }
 
-/// The serve loop over an arrival stream is the open loop, expressed as
-/// events: identical service model at issue time, so the aggregate
-/// report must match the engine's open loop bit for bit.
+/// The serve over an arrival stream longer than the query list (queries
+/// cycle) with sampling on: the aggregate report must match the
+/// materialized-plan open loop bit for bit, tails and utilization
+/// included.
 #[test]
 fn serve_report_is_bit_identical_to_open_loop() {
     use decluster::sim::sharded_arrivals;
@@ -322,7 +344,7 @@ fn serve_report_is_bit_identical_to_open_loop() {
     let obs = decluster::obs::Obs::disabled();
     let arrivals = sharded_arrivals(
         11,
-        queries.len(),
+        2 * queries.len() + 17,
         InterArrival::Poisson { rate_qps: 60.0 },
         1,
         &obs,
@@ -334,21 +356,16 @@ fn serve_report_is_bit_identical_to_open_loop() {
         .sampling(500.0)
         .run_with_arrivals(&engine, &params, &queries, &arrivals, &obs, &mut ls)
         .unwrap();
-    let open = engine.open_loop_obs(&params, &queries, &arrivals, &obs, &mut LoopScratch::new());
-    assert_eq!(
-        serve.report.makespan_ms.to_bits(),
-        open.makespan_ms.to_bits()
-    );
-    assert_eq!(
-        serve.report.latency.mean.to_bits(),
-        open.latency.mean.to_bits()
-    );
-    assert_eq!(serve.report.tail, open.tail);
-    assert_eq!(
-        serve.report.utilization.to_bits(),
-        open.utilization.to_bits()
-    );
-    assert_eq!(serve.events, 2 * queries.len() as u64);
+    let (makespan, mut latencies, busy) = reference_open_loop(&dir, &params, &queries, &arrivals);
+    let n = arrivals.len();
+    assert_eq!(serve.report.queries, n);
+    assert_eq!(serve.report.makespan_ms.to_bits(), makespan.to_bits());
+    let ref_mean = latencies.iter().sum::<f64>() / n as f64;
+    assert_eq!(serve.report.latency.mean.to_bits(), ref_mean.to_bits());
+    assert_eq!(serve.report.tail, Quantiles::of_unsorted(&mut latencies));
+    let ref_util = busy.iter().sum::<f64>() / (makespan * M as f64);
+    assert_eq!(serve.report.utilization.to_bits(), ref_util.to_bits());
+    assert_eq!(serve.events, 2 * n as u64);
     assert!(serve.peak_in_flight >= 1);
     assert!(!ls.samples().is_empty());
 }

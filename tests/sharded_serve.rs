@@ -1,26 +1,30 @@
-//! Property test for the sharded serving path: on random `ServeSpec`s —
-//! plain open-loop, shared scans (batch window + replicas + routing
-//! policy), and fault-injected runs — a sharded run must equal the
-//! serial run in every observable: the aggregate report, the event-loop
-//! counters, the mid-run samples, and the rendered metrics snapshot,
-//! for shard counts S in {1, 2, 7, M} and for inline as well as
-//! threaded shard walking. Lattice cases put arrivals, sample boundaries
-//! and (with integer or zero disk times) completions on a common integer
-//! grid, so tied arrivals, completions tied with arrivals, and samples
-//! landing exactly on event times pin the serial heap's `(time, seq)`
-//! tie rule, together with ring windows of 1, 3 and 1024 latencies.
-//! The fault-injected path has global feedback and falls back to the
-//! serial core, so its equality is trivial by construction — it is
-//! still generated here so the shard-count validation and dispatch stay
+//! Property test for the open-loop serving pipeline against the naive
+//! reference simulator in `tests/common/reference.rs`: on random
+//! `ServeSpec`s — plain open loop and shared scans (batch window +
+//! replicas + routing policy) — every shard count S in {1, 2, 7, M}, with
+//! inline and threaded shard walking, must equal the reference in every
+//! observable: the aggregate report (floats bit for bit), events, pages,
+//! peak in-flight, the mid-run samples, the sharing accounting, and the
+//! batch / queued-batch / per-disk busy metric counters. Lattice cases
+//! put arrivals, sample boundaries and (with integer or zero disk times)
+//! completions on a common integer grid, so tied arrivals, completions
+//! tied with arrivals, and samples landing exactly on event times pin
+//! the `(time, seq)` tie rule, together with ring windows of 1, 3 and
+//! 1024 latencies. Fault-injected runs have their own event loop, which
+//! the reference does not model; they stay here as a shard-count
+//! invariance case so the shard-count validation and dispatch stay
 //! covered on every mode.
 
+mod common;
+
+use common::reference::{self, RefRun, Sharing};
 use decluster::grid::{BucketRegion, GridDirectory, GridSpace};
 use decluster::obs::{MetricsRecorder, Obs};
 use decluster::prelude::*;
 use decluster::sim::workload::random_region;
 use decluster::sim::{
     DiskParams, FaultSchedule, LoopScratch, MultiUserEngine, ReplicaPolicy, ServeRun, ServeSample,
-    ServeSpec,
+    ServeSpec, ShareStats,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -30,7 +34,7 @@ use std::sync::Arc;
 /// How a generated case exercises the spec surface.
 #[derive(Clone, Debug)]
 enum Mode {
-    /// Healthy open loop: the parallel Stage A/B/C path proper.
+    /// Healthy open loop.
     Plain,
     /// Shared scans: batch window, optional replicas, routing policy.
     Shared {
@@ -38,7 +42,7 @@ enum Mode {
         replicas: u32,
         policy: ReplicaPolicy,
     },
-    /// Fault injection: serial-fallback path, shards still validated.
+    /// Fault injection: its own event loop, shards still validated.
     Faults {
         replicas: u32,
         policy: ReplicaPolicy,
@@ -63,8 +67,6 @@ struct Case {
     /// that put completions on the same grid as lattice arrivals.
     disk: Disk,
     mode: Mode,
-    /// Worker threads for the sharded runs (1 = inline walk).
-    threads: usize,
 }
 
 fn policy() -> impl Strategy<Value = ReplicaPolicy> {
@@ -76,10 +78,17 @@ fn policy() -> impl Strategy<Value = ReplicaPolicy> {
     ]
 }
 
+/// A shared-scan batch window: continuous, or a small integer so flushes
+/// (and, with integer disk times, completions) land on the arrival
+/// lattice and tie with arrivals.
+fn batch_window() -> impl Strategy<Value = f64> {
+    prop_oneof![1.0f64..24.0, (1u32..=8).prop_map(f64::from)]
+}
+
 fn mode() -> impl Strategy<Value = Mode> {
     prop_oneof![
         Just(Mode::Plain),
-        (1.0f64..24.0, 0u32..=2, policy()).prop_map(|(window_ms, replicas, policy)| {
+        (batch_window(), 0u32..=2, policy()).prop_map(|(window_ms, replicas, policy)| {
             Mode::Shared {
                 window_ms,
                 replicas,
@@ -157,10 +166,9 @@ fn case() -> impl Strategy<Value = Case> {
                 prop_oneof![Just(1usize), Just(3usize), Just(1024usize)],
             ),
             mode(),
-            prop_oneof![Just(1usize), Just(3usize)],
         )
             .prop_map(
-                |(m, query_seed, (gaps, disk), (sampling, window), mode, threads)| Case {
+                |(m, query_seed, (gaps, disk), (sampling, window), mode)| Case {
                     m,
                     query_seed,
                     gaps,
@@ -168,7 +176,6 @@ fn case() -> impl Strategy<Value = Case> {
                     window,
                     disk,
                     mode,
-                    threads,
                 },
             )
     })
@@ -204,32 +211,154 @@ fn spec_for(case: &Case, m: u32) -> ServeSpec {
     }
 }
 
+/// The reference run of a healthy case (`None` for fault injection).
+fn reference_for(
+    case: &Case,
+    dir: &GridDirectory,
+    params: &DiskParams,
+    queries: &[BucketRegion],
+    arrivals: &[f64],
+) -> Option<RefRun> {
+    let share = match case.mode {
+        Mode::Plain => None,
+        Mode::Shared {
+            window_ms,
+            replicas,
+            policy,
+        } => Some(Sharing {
+            window_ms,
+            replicas,
+            policy,
+        }),
+        Mode::Faults { .. } => return None,
+    };
+    Some(reference::simulate(
+        dir,
+        params,
+        queries,
+        arrivals,
+        case.sampling.unwrap_or(0.0),
+        case.window,
+        share,
+    ))
+}
+
+/// One pipeline run observed as a whole.
+struct Observed {
+    run: ServeRun,
+    samples: Vec<ServeSample>,
+    metrics: String,
+    counter: Box<dyn Fn(&str) -> u64>,
+}
+
 /// Runs one spec and flattens every observable into comparable form:
-/// the full `ServeRun` (Debug covers every field, and f64's shortest
-/// round-trip formatting distinguishes distinct bit patterns), the
-/// mid-run samples, and the deterministic metrics snapshot.
+/// the full `ServeRun`, the mid-run samples, the rendered deterministic
+/// metrics snapshot, and a counter lookup into it.
 fn observe(
     spec: &ServeSpec,
     engine: &MultiUserEngine,
     params: &DiskParams,
     queries: &[BucketRegion],
     arrivals: &[f64],
-) -> (ServeRun, Vec<ServeSample>, String) {
+) -> Observed {
     let rec = Arc::new(MetricsRecorder::new());
     let obs = Obs::new(rec.clone());
     let mut ls = LoopScratch::new();
     let run = spec
         .run_with_arrivals(engine, params, queries, arrivals, &obs, &mut ls)
         .expect("every generated spec is valid");
-    let metrics = rec.registry().snapshot().render_text();
-    (run, ls.samples().to_vec(), metrics)
+    let snapshot = rec.registry().snapshot();
+    Observed {
+        run,
+        samples: ls.samples().to_vec(),
+        metrics: snapshot.render_text(),
+        counter: Box::new(move |key| snapshot.counter(key).unwrap_or(0)),
+    }
+}
+
+/// Every observable of a pipeline run against the reference; `Err`
+/// names the first that differs.
+fn check_against_reference(got: &Observed, want: &RefRun, shared: bool) -> Result<(), String> {
+    let fail =
+        |what: &str, a: String, b: String| Err(format!("{what}: pipeline {a} != reference {b}"));
+    let (r, w) = (&got.run.report, &want.report);
+    if format!("{r:?}") != format!("{w:?}") {
+        return fail("report", format!("{r:?}"), format!("{w:?}"));
+    }
+    for (what, a, b) in [
+        ("makespan", r.makespan_ms, w.makespan_ms),
+        ("mean latency", r.latency.mean, w.latency.mean),
+        ("utilization", r.utilization, w.utilization),
+        ("throughput", r.throughput_qps, w.throughput_qps),
+    ] {
+        if a.to_bits() != b.to_bits() {
+            return fail(what, a.to_string(), b.to_string());
+        }
+    }
+    let mut pairs = vec![
+        ("events", got.run.events, want.events),
+        ("pages", got.run.pages, want.pages),
+        (
+            "peak in-flight",
+            got.run.peak_in_flight as u64,
+            want.peak_in_flight as u64,
+        ),
+        (
+            "sample count",
+            got.run.samples as u64,
+            want.samples.len() as u64,
+        ),
+        (
+            "serve.batches",
+            (got.counter)("serve.batches"),
+            want.batches,
+        ),
+        (
+            "serve.queued_batches",
+            (got.counter)("serve.queued_batches"),
+            want.queued_batches,
+        ),
+    ];
+    let busy_keys: Vec<String> = (0..want.busy_ms.len())
+        .map(|d| format!("serve.disk{d:02}.busy_us"))
+        .collect();
+    for (key, &busy) in busy_keys.iter().zip(&want.busy_ms) {
+        pairs.push((key, (got.counter)(key), (busy * 1000.0).round() as u64));
+    }
+    for (what, a, b) in pairs {
+        if a != b {
+            return fail(what, a.to_string(), b.to_string());
+        }
+    }
+    if got.samples != want.samples {
+        return fail(
+            "samples",
+            format!("{:?}", got.samples),
+            format!("{:?}", want.samples),
+        );
+    }
+    let sharing = shared.then_some(ShareStats {
+        windows: want.windows,
+        merged_queries: want.merged_queries,
+        pages_saved: want.pages_saved,
+    });
+    if got.run.sharing != sharing || got.run.availability.is_some() {
+        return fail(
+            "sharing",
+            format!("{:?}", got.run.sharing),
+            format!("{sharing:?}"),
+        );
+    }
+    Ok(())
 }
 
 /// Deterministic pin of the plan-cache thrash regime: 40 distinct query
-/// shapes exceed the 32-slot `PlanCache`, so the serial loop evicts on
-/// nearly every arrival and the sharded path's LRU replay must
-/// reproduce the hit/miss counters (surfaced in the metrics snapshot)
-/// through its cycle detection rather than the no-eviction fast path.
+/// shapes exceed the 32-slot `PlanCache`, so a per-request cache evicts
+/// on nearly every arrival and the pipeline's LRU replay must report the
+/// hit/miss counters (surfaced in the metrics snapshot) through its
+/// cycle detection rather than the no-eviction fast path. The run itself
+/// must match the reference, and its metrics must not depend on the
+/// shard count.
 #[test]
 fn sharded_metrics_survive_plan_cache_thrash() {
     let space = GridSpace::new_2d(32, 32).unwrap();
@@ -251,24 +380,23 @@ fn sharded_metrics_survive_plan_cache_thrash() {
     let arrivals: Vec<f64> = (0..4000).map(|i| i as f64 * 0.4).collect();
 
     let spec = ServeSpec::open(100.0).sampling(32.0).seed(7);
-    let (serial_run, serial_samples, serial_metrics) =
-        observe(&spec, &engine, &params, &queries, &arrivals);
+    let one = observe(&spec, &engine, &params, &queries, &arrivals);
     assert!(
-        serial_metrics.contains("kernel.shape_cache_misses"),
-        "thrash run must surface plan-cache counters"
+        (one.counter)("kernel.shape_cache_misses") > 40,
+        "thrash run must surface evicting plan-cache counters"
     );
+    let want = reference::simulate(&dir, &params, &queries, &arrivals, 32.0, 1024, None);
+    if let Err(diff) = check_against_reference(&one, &want, false) {
+        panic!("one shard vs reference: {diff}");
+    }
     for (shards, threads) in [(2usize, 1usize), (8, 1), (8, 3)] {
         let sharded = spec.clone().shards(shards).threads(threads);
-        let (run, samples, metrics) = observe(&sharded, &engine, &params, &queries, &arrivals);
+        let got = observe(&sharded, &engine, &params, &queries, &arrivals);
+        if let Err(diff) = check_against_reference(&got, &want, false) {
+            panic!("{shards} shards vs reference: {diff}");
+        }
         assert_eq!(
-            format!("{:?}", run.report),
-            format!("{:?}", serial_run.report),
-            "report diverged at {shards} shards"
-        );
-        assert_eq!(run.events, serial_run.events);
-        assert_eq!(samples, serial_samples);
-        assert_eq!(
-            metrics, serial_metrics,
+            got.metrics, one.metrics,
             "metrics diverged at {shards} shards"
         );
     }
@@ -278,7 +406,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     #[test]
-    fn sharded_runs_equal_serial_runs(case in case()) {
+    fn serve_spec_matches_the_naive_reference(case in case()) {
         let space = GridSpace::new_2d(24, 24).unwrap();
         let hcam = Hcam::new(&space, case.m).unwrap();
         let dir = GridDirectory::build(space.clone(), case.m, |b| hcam.disk_of(b.as_slice()));
@@ -300,36 +428,36 @@ proptest! {
             .collect();
 
         let spec = spec_for(&case, case.m);
-        let (serial_run, serial_samples, serial_metrics) =
-            observe(&spec, &engine, &params, &queries, &arrivals);
+        let want = reference_for(&case, &dir, &params, &queries, &arrivals);
+        let shared = matches!(case.mode, Mode::Shared { .. });
+        let one = observe(&spec, &engine, &params, &queries, &arrivals);
 
         for shards in [1usize, 2, 7, case.m as usize] {
-            let sharded = spec.clone().shards(shards).threads(case.threads);
-            let (run, samples, metrics) =
-                observe(&sharded, &engine, &params, &queries, &arrivals);
-
-            // Report floats bit for bit (Debug is a faithful f64 witness).
-            prop_assert_eq!(
-                format!("{:?}", run.report),
-                format!("{:?}", serial_run.report),
-                "report diverged at {} shards, {} threads",
-                shards,
-                case.threads
-            );
-            prop_assert_eq!(run.report.makespan_ms.to_bits(), serial_run.report.makespan_ms.to_bits());
-            prop_assert_eq!(run.report.latency.mean.to_bits(), serial_run.report.latency.mean.to_bits());
-            prop_assert_eq!(run.report.utilization.to_bits(), serial_run.report.utilization.to_bits());
-            // Event-loop counters and optional accounting.
-            prop_assert_eq!(run.events, serial_run.events);
-            prop_assert_eq!(run.pages, serial_run.pages);
-            prop_assert_eq!(run.peak_in_flight, serial_run.peak_in_flight);
-            prop_assert_eq!(run.samples, serial_run.samples);
-            prop_assert_eq!(run.availability, serial_run.availability);
-            prop_assert_eq!(run.sharing, serial_run.sharing);
-            // Mid-run samples element-wise.
-            prop_assert_eq!(&samples, &serial_samples);
-            // Rendered metrics snapshot byte for byte.
-            prop_assert_eq!(&metrics, &serial_metrics, "metrics diverged at {} shards", shards);
+            for threads in [1usize, 3] {
+                let sharded = spec.clone().shards(shards).threads(threads);
+                let got = observe(&sharded, &engine, &params, &queries, &arrivals);
+                if let Some(want) = &want {
+                    let checked = check_against_reference(&got, want, shared);
+                    prop_assert!(
+                        checked.is_ok(),
+                        "S={} T={}: {}",
+                        shards,
+                        threads,
+                        checked.unwrap_err()
+                    );
+                }
+                // Every mode, faults included: nothing depends on the
+                // shard or thread count.
+                prop_assert_eq!(
+                    format!("{:?}", got.run),
+                    format!("{:?}", one.run),
+                    "run diverged at {} shards, {} threads",
+                    shards,
+                    threads
+                );
+                prop_assert_eq!(&got.samples, &one.samples);
+                prop_assert_eq!(&got.metrics, &one.metrics, "metrics diverged at {} shards", shards);
+            }
         }
     }
 }
